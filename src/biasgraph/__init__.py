@@ -74,6 +74,6 @@ from .graph import (
     validate,
 )
 from .instances import FanSpec, fan_path, make_fan, make_named_instance, resolve_path
-from .intervals import Interval, IntervalSet, pairwise_intersect
+from .intervals import Interval, IntervalSet
 
 __version__ = "0.1.0"

@@ -52,15 +52,6 @@ class AgentConfig:
 class TraversalState:
     vertex: str
     steps_taken: int
-    prefix: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.prefix and (self.prefix[-1] != self.vertex or len(self.prefix) - 1 != self.steps_taken):
-            raise ValueError("prefix must end at the current vertex")
-
-    @classmethod
-    def start(cls, graph: TaskGraph) -> "TraversalState":
-        return cls(graph.source, 0, (graph.source,))
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,7 @@ def traverse(
     while prefix[-1] != graph.sink:
         if len(prefix) > len(graph.vertices):  # pragma: no cover - DAG guarantees progress
             raise AssertionError("traversal failed to terminate")
-        state = TraversalState(prefix[-1], len(prefix) - 1, tuple(prefix))
+        state = TraversalState(prefix[-1], len(prefix) - 1)
         ref_next = None
         if on_reference and len(prefix) < len(reference.vertices):
             ref_next = reference.vertices[len(prefix)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import verify
-from .agents import AgentConfig, RewardTie, cost_ratio, traverse
+from .agents import AgentConfig, RewardTie, traverse
 from .bne import (
     BiasDistribution,
     FanBneSolution,
@@ -23,7 +23,7 @@ from .bne import (
     solve_fan_bne_multi,
 )
 from .equilibria import check_symmetric_ne, classify_unbiased, feasible_rewards
-from .errors import BiasGraphError
+from .errors import BiasGraphError, ZeroOptimalCost
 from .graph import TaskGraph, load_graph
 from .instances import FanSpec, make_fan, make_named_instance, resolve_path
 
@@ -195,13 +195,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_cost_ratio(args) -> int:
     graph = _read_graph(args.graph)
     config = AgentConfig(Fraction(args.bias))
-    ratio = cost_ratio(graph, config)
+    optimal = graph.cheapest_cost(graph.source)
+    if optimal == 0:
+        raise ZeroOptimalCost("cheapest path costs zero")
     biased = traverse(graph, config).path
     _emit({
         "biased_cost": str(biased.cost),
         "biased_path": list(biased.vertices),
-        "optimal_cost": str(graph.cheapest_cost(graph.source)),
-        "ratio": str(ratio),
+        "optimal_cost": str(optimal),
+        "ratio": str(biased.cost / optimal),
     })
     return EXIT_OK
 
@@ -318,7 +320,8 @@ def run(argv: list[str]) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (BiasGraphError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (BiasGraphError, ValueError, ZeroDivisionError, KeyError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

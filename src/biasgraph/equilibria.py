@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .agents import AgentConfig, RewardTie, TraversalTrace, traverse
 from .errors import BiasNotAboveC, NoDominantPath
-from .graph import PathRecord, TaskGraph, cheapest_per_length
+from .graph import PathRecord, TaskGraph, first_path
 from .instances import FanSpec
 from .intervals import Interval, IntervalSet
 
@@ -71,24 +71,23 @@ class DominantPathReward:
 
 
 def nondominated_ladder(graph: TaskGraph, reward: Fraction) -> NondominatedLadder:
-    """Filter per-length minima down to the non-dominated ladder.
+    """The source's (length, cost) staircase, filtered by the reward.
 
     A path is dominated when a weakly quicker path is weakly cheaper, or when
     even losing on some path beats winning on it (cost >= cheapest + reward).
+    Each rung's witness is the lexicographically first path of its length and cost.
     """
     reward = Fraction(reward)
     if reward < 0:
         raise ValueError("reward must be nonnegative")
-    by_length = cheapest_per_length(graph)
-    survivors: list[PathRecord] = []
-    for k in sorted(by_length):
-        p = by_length[k]
-        if survivors and survivors[-1].cost <= p.cost:
-            continue  # quicker survivor is no costlier
-        survivors.append(p)
-    cheapest = min(p.cost for p in survivors)
-    survivors = [p for p in survivors if p.cost < cheapest + reward or p.cost == cheapest]
-    return NondominatedLadder(tuple(survivors), reward)
+    table = graph.hop_table(graph.source)
+    cheapest = table.cost_any()
+    paths = tuple(
+        first_path(graph, length, cost, lambda v, k: graph.hop_table(v).cost_at_most(k))
+        for length, cost in zip(table.lengths, table.costs)
+        if cost < cheapest + reward or cost == cheapest
+    )
+    return NondominatedLadder(paths, reward)
 
 
 def classify_unbiased(
@@ -169,28 +168,14 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
     if agents < 2:
         raise ValueError("need at least two competing agents")
 
-    counts: dict[str, list[int]] = {v: [0] * len(graph.vertices) for v in graph.vertices}
-    counts[graph.sink][0] = 1
-    for v in reversed(graph.topo_order):
-        row = counts[v]
-        for e in graph.adjacency[v]:
-            succ = counts[e.head]
-            for k in range(1, len(row)):
-                row[k] += succ[k - 1]
-    from_source = counts[graph.source]
-    quickest = next((k for k in range(len(from_source)) if from_source[k] > 0), None)
-    assert quickest is not None
-    if from_source[quickest] != 1:
-        raise NoDominantPath(f"{from_source[quickest]} distinct paths share the minimum length")
-
     seq = [graph.source]
-    remaining = quickest
     while seq[-1] != graph.sink:
-        for e in graph.successors(seq[-1]):
-            if counts[e.head][remaining - 1] > 0:
-                seq.append(e.head)
-                remaining -= 1
-                break
+        quickest = graph.hop_table(seq[-1]).lengths[0]
+        heads = [e.head for e in graph.successors(seq[-1])
+                 if graph.hop_table(e.head).lengths[0] == quickest - 1]
+        if len(heads) > 1:
+            raise NoDominantPath(f"two quickest paths part at {seq[-1]}")
+        seq.append(heads[0])
     path = PathRecord.from_vertices(graph, seq)
     if path.cost != graph.cheapest_cost(graph.source):
         raise NoDominantPath("the uniquely quickest path is not a cheapest path")

@@ -10,6 +10,7 @@ tie-breaking between equal-cost alternatives is lexicographic in that order.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,20 +65,22 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class HopCostTable:
-    """Cheapest v->t costs under hop budgets: any, at most k, fewer than k edges."""
+    """Cheapest v->t costs under hop budgets: any, at most k, fewer than k edges.
 
-    vertex: str
-    at_most: tuple[Fraction | None, ...]  # index k = cheapest cost using <= k edges
+    Stored as the non-dominated (length, cost) staircase of v->t paths:
+    ``lengths`` strictly rise and ``costs`` strictly fall, so the cheapest
+    path within k edges is the last step at or below length k.
+    """
 
-    def cost_any(self) -> Fraction | None:
-        return self.at_most[-1]
+    lengths: tuple[int, ...]
+    costs: tuple[Fraction, ...]
+
+    def cost_any(self) -> Fraction:
+        return self.costs[-1]
 
     def cost_at_most(self, k: int) -> Fraction | None:
-        if k < 0:
-            return None
-        if k >= len(self.at_most):
-            return self.at_most[-1]
-        return self.at_most[k]
+        i = bisect_right(self.lengths, k)
+        return self.costs[i - 1] if i else None
 
     def cost_fewer(self, k: int) -> Fraction | None:
         return self.cost_at_most(k - 1)
@@ -141,48 +144,29 @@ class TaskGraph:
         return tuple(order)
 
     @cached_property
-    def exact_length_costs(self) -> dict[str, tuple[Fraction | None, ...]]:
-        """For each vertex v: cheapest v->sink cost using exactly k edges, k=0..|V|-1."""
-        kmax = len(self.vertices) - 1
-        table: dict[str, list[Fraction | None]] = {v: [None] * (kmax + 1) for v in self.vertices}
-        table[self.sink][0] = Fraction(0)
-        for v in reversed(self.topo_order):
-            row = table[v]
-            for e in self.adjacency[v]:
-                succ = table[e.head]
-                for k in range(1, kmax + 1):
-                    prev = succ[k - 1]
-                    if prev is None:
-                        continue
-                    cand = e.cost + prev
-                    if row[k] is None or cand < row[k]:
-                        row[k] = cand
-        return {v: tuple(row) for v, row in table.items()}
-
-    @cached_property
     def hop_tables(self) -> dict[str, HopCostTable]:
-        tables = {}
-        for v, exact in self.exact_length_costs.items():
-            best: Fraction | None = None
-            prefix: list[Fraction | None] = []
-            for val in exact:
-                if val is not None and (best is None or val < best):
-                    best = val
-                prefix.append(best)
-            tables[v] = HopCostTable(v, tuple(prefix))
+        """Per-vertex staircases, each merged from its successors' staircases
+        shifted by one edge (bicriteria label setting, Hansen 1980)."""
+        tables: dict[str, HopCostTable] = {}
+        for v in reversed(self.topo_order):
+            points = [(0, Fraction(0))] if v == self.sink else sorted(
+                (length + 1, e.cost + cost)
+                for e in self.adjacency[v]
+                for length, cost in zip(tables[e.head].lengths, tables[e.head].costs)
+            )
+            steps: list[tuple[int, Fraction]] = []
+            for point in points:
+                if not steps or point[1] < steps[-1][1]:
+                    steps.append(point)
+            lengths, costs = zip(*steps)
+            tables[v] = HopCostTable(lengths, costs)
         return tables
 
     def hop_table(self, v: str) -> HopCostTable:
         return self.hop_tables[v]
 
     def cheapest_cost(self, v: str) -> Fraction:
-        cost = self.hop_tables[v].cost_any()
-        assert cost is not None  # every validated vertex reaches the sink
-        return cost
-
-    def path_key(self, path: PathRecord) -> tuple[int, ...]:
-        """Sort key giving the lexicographic order on vertex sequences."""
-        return tuple(self.index[v] for v in path.vertices)
+        return self.hop_tables[v].cost_any()
 
     def to_json_dict(self) -> dict:
         return {
@@ -284,27 +268,42 @@ def hop_bounded_cheapest(graph: TaskGraph, v: str, k: int | None = None) -> Frac
     return table.cost_at_most(k)
 
 
+def first_path(graph: TaskGraph, length: int, cost: Fraction, suffix_cost) -> PathRecord:
+    """The first source->sink path in vertex order with ``length`` edges and ``cost``.
+
+    ``suffix_cost(v, k)`` is the cheapest v->sink cost over paths of exactly k
+    edges, or of at most k edges when no quicker path costs as little.
+    """
+    seq = [graph.source]
+    remaining, budget = cost, length
+    while seq[-1] != graph.sink:
+        for e in graph.successors(seq[-1]):
+            rest = suffix_cost(e.head, budget - 1)
+            if rest is not None and e.cost + rest == remaining:
+                seq.append(e.head)
+                remaining, budget = rest, budget - 1
+                break
+        else:  # pragma: no cover - the tables guarantee a witness
+            raise AssertionError("no witness for the requested length and cost")
+    return PathRecord(tuple(seq), cost, length)
+
+
 def cheapest_per_length(graph: TaskGraph) -> dict[int, PathRecord]:
     """One cheapest source->sink path for every feasible exact length.
 
     Ties are broken by the lexicographically smallest vertex sequence in the
-    graph's vertex order.
+    graph's vertex order.  Unlike the hop tables this keeps dominated lengths,
+    so it runs its own exact-length DP over the lengths each vertex can reach.
     """
-    exact = graph.exact_length_costs[graph.source]
-    result: dict[int, PathRecord] = {}
-    for k, total in enumerate(exact):
-        if k == 0 or total is None:
-            continue
-        seq = [graph.source]
-        u, remaining, budget = graph.source, total, k
-        while u != graph.sink:
-            for e in graph.successors(u):
-                succ_cost = graph.exact_length_costs[e.head][budget - 1]
-                if succ_cost is not None and e.cost + succ_cost == remaining:
-                    seq.append(e.head)
-                    u, remaining, budget = e.head, succ_cost, budget - 1
-                    break
-            else:  # pragma: no cover - DP guarantees a witness
-                raise AssertionError("length-cost table inconsistent")
-        result[k] = PathRecord(tuple(seq), total, k)
-    return result
+    exact: dict[str, dict[int, Fraction]] = {graph.sink: {0: Fraction(0)}}
+    for v in reversed(graph.topo_order):
+        row = exact.setdefault(v, {})
+        for e in graph.adjacency[v]:
+            for length, cost in exact[e.head].items():
+                cand = e.cost + cost
+                if length + 1 not in row or cand < row[length + 1]:
+                    row[length + 1] = cand
+    return {
+        k: first_path(graph, k, total, lambda v, b: exact[v].get(b))
+        for k, total in sorted(exact[graph.source].items())
+    }

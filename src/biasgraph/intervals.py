@@ -108,7 +108,3 @@ class IntervalSet:
 
     def to_json_list(self) -> list[dict]:
         return [i.to_json_dict() for i in self.intervals]
-
-
-def pairwise_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.intersect(b)

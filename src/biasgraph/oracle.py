@@ -117,7 +117,7 @@ def brute_traverse(
     prefix = [graph.source]
     on_reference = reference is not None
     while prefix[-1] != graph.sink:
-        state = TraversalState(prefix[-1], len(prefix) - 1, tuple(prefix))
+        state = TraversalState(prefix[-1], len(prefix) - 1)
         ref_next = None
         if on_reference and len(prefix) < len(reference.vertices):
             ref_next = reference.vertices[len(prefix)]
@@ -280,8 +280,9 @@ def random_layered_graph(
             for v in b:
                 if rng.random() < 0.45:
                     targets.add(v)
-            for v in targets:
-                add_edge(u, v)
+            for v in b:  # layer order: a set's order depends on PYTHONHASHSEED
+                if v in targets:
+                    add_edge(u, v)
         for v in b:  # give stranded vertices an inbound edge
             if not any(e["to"] == v for e in edges):
                 add_edge(a[int(rng.integers(0, len(a)))], v)

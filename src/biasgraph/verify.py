@@ -205,6 +205,8 @@ def run_suite(name: str, seed: int = 0, scale: float = 1.0) -> dict:
     }
     if name not in runners:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if not 0 < scale < float("inf"):
+        raise ValueError(f"scale must be positive and finite, not {scale}")
     report = runners[name](seed, scale)
     report["passed"] = not report["failures"]
     return report

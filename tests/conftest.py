@@ -24,7 +24,7 @@ def build_graph(edges, source="s", sink="t", vertices=None) -> TaskGraph:
 
 
 def at(graph: TaskGraph, *prefix: str) -> TraversalState:
-    return TraversalState(prefix[-1], len(prefix) - 1, tuple(prefix))
+    return TraversalState(prefix[-1], len(prefix) - 1)
 
 
 def spine_graph(n: int = 5) -> TaskGraph:

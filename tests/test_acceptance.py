@@ -144,7 +144,7 @@ def test_criterion_5_reward_nonmonotonicity_witnesses():
         from biasgraph import TraversalState, perceived_cost
 
         config = AgentConfig(bias)
-        start = TraversalState("s", 0, ("s",))
+        start = TraversalState("s", 0)
         assert perceived_cost(graph, start, "q1", config, 3, F(300)) == -148
         assert perceived_cost(graph, start, "v1", config, 3, F(300)) == -200
         assert bias * graph.edge_cost("v1", "t") == 1000
@@ -155,7 +155,7 @@ def test_criterion_5_reward_nonmonotonicity_witnesses():
         high = check_symmetric_ne(graph_b, q_b, F(10), bias)
         assert not low and low.deviated_at == "s"
         assert high
-        start_b = TraversalState("s", 0, ("s",))
+        start_b = TraversalState("s", 0)
         for r in (F(2), F(10)):
             assert perceived_cost(graph_b, start_b, "v1", config, 3, r) == 5
         assert perceived_cost(graph_b, start_b, "q1", config, 3, F(10)) == 3

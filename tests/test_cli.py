@@ -81,12 +81,49 @@ def test_cost_ratio(capsys, tmp_path):
     assert json.loads(out)["ratio"] == "7/2"
 
 
+def test_cost_ratio_walks_once(capsys, tmp_path, monkeypatch):
+    from biasgraph import agents, cli
+
+    calls = []
+    original = agents.traverse
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(agents, "traverse", counted)
+    monkeypatch.setattr(cli, "traverse", counted)
+    code, out = invoke(capsys, "cost-ratio", "--graph", write_fan(tmp_path), "--bias", "2")
+    assert code == 0
+    assert json.loads(out)["ratio"] == "243/32"  # delays to the last exit
+    assert len(calls) == 1
+
+
+def test_cost_ratio_zero_cost_exits_2(capsys, tmp_path):
+    graph_file = tmp_path / "zero.json"
+    graph_file.write_text(json.dumps({
+        "vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": "0"}],
+        "source": "s", "sink": "t",
+    }))
+    code, out = invoke(capsys, "cost-ratio", "--graph", str(graph_file), "--bias", "2")
+    assert code == 2
+    assert out == ""
+
+
 def test_ne_check_fan_shorthand(capsys, tmp_path):
     fan = write_fan(tmp_path)
     code, out = invoke(capsys, "ne-check", "--graph", fan, "--path", "P0",
                        "--bias", "2", "--reward", "1")
     assert code == 0
     assert json.loads(out)["is_equilibrium"] is True
+
+
+def test_ne_check_zero_denominator_exits_2(capsys, tmp_path):
+    fan = write_fan(tmp_path)
+    code, out = invoke(capsys, "ne-check", "--graph", fan, "--path", "P0",
+                       "--bias", "2", "--reward", "1/0")
+    assert code == 2
+    assert out == ""
 
 
 def test_min_reward_feasible(capsys, tmp_path):
@@ -156,6 +193,13 @@ def test_verify_suite(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True and payload["failures"] == []
+
+
+def test_verify_rejects_nonpositive_scale(capsys):
+    for scale in ("-1", "0"):
+        code, out = invoke(capsys, "verify", "--suite", "thm1", "--scale", scale)
+        assert code == 2
+        assert out == ""
 
 
 def test_invalid_graph_exits_2(capsys, tmp_path):

@@ -10,6 +10,7 @@ from biasgraph import (
     PathRecord,
     RewardTie,
     algorithm_breakpoints,
+    cheapest_per_length,
     check_symmetric_ne,
     classify_unbiased,
     dominant_path_reward,
@@ -23,6 +24,7 @@ from biasgraph import (
 )
 from biasgraph.oracle import (
     best_response_table,
+    enumerate_paths,
     random_dominant_graph,
     random_ladder_graph,
     random_layered_graph,
@@ -55,6 +57,25 @@ class TestNondominatedLadder:
         )
         ladder = nondominated_ladder(g, F(10))
         assert ladder.costs == (1,)
+
+    def test_matches_filtered_per_length_paths(self):
+        # Small graphs and graphs of 30-40 vertices, above the brute-force guard.
+        rng = np.random.default_rng(41)
+        graphs = [random_layered_graph(rng) for _ in range(40)]
+        graphs += [
+            random_layered_graph(rng, max_vertices=40, min_interior=14, max_interior=18)
+            for _ in range(15)
+        ]
+        assert sum(30 <= len(g.vertices) <= 40 for g in graphs) >= 10
+        for graph in graphs:
+            rungs: list = []
+            for _, p in sorted(cheapest_per_length(graph).items()):
+                if not rungs or p.cost < rungs[-1].cost:
+                    rungs.append(p)
+            for reward in (F(0), F(1, 2), F(2), F(8), F(100)):
+                cheapest = rungs[-1].cost
+                expected = [p for p in rungs if p.cost < cheapest + reward or p.cost == cheapest]
+                assert nondominated_ladder(graph, reward).paths == tuple(expected)
 
     def test_ladder_invariants_on_random_graphs(self):
         rng = np.random.default_rng(3)
@@ -229,6 +250,23 @@ class TestDominantPathReward:
     def test_more_agents_scale_linearly(self, fan5):
         _, graph = fan5
         assert dominant_path_reward(graph, F(2), agents=5).reward == 10
+
+    def test_agrees_with_enumeration(self):
+        rng = np.random.default_rng(43)
+        graphs = [random_layered_graph(rng) for _ in range(60)]
+        graphs += [random_dominant_graph(rng) for _ in range(30)]
+        found = 0
+        for graph in graphs:
+            paths = enumerate_paths(graph)
+            fewest = min(p.length for p in paths)
+            quickest = [p for p in paths if p.length == fewest]
+            if len(quickest) == 1 and quickest[0].cost == min(p.cost for p in paths):
+                found += 1
+                assert dominant_path_reward(graph, F(2)).path == quickest[0]
+            else:
+                with pytest.raises(NoDominantPath):
+                    dominant_path_reward(graph, F(2))
+        assert 30 <= found < len(graphs)
 
     def test_random_dominant_graphs_all_pass(self):
         rng = np.random.default_rng(37)

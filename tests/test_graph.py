@@ -122,6 +122,18 @@ class TestHopBoundedCheapest:
                 if lt is not None:
                     assert le <= lt
 
+    def test_staircase_invariants(self, fig1):
+        rng = np.random.default_rng(13)
+        graphs = [fig1[0]] + [random_layered_graph(rng, max_vertices=30) for _ in range(20)]
+        for graph in graphs:
+            sink = graph.hop_table(graph.sink)
+            assert (sink.lengths, sink.costs) == ((0,), (0,))
+            for v in graph.vertices:
+                table = graph.hop_table(v)
+                assert len(table.lengths) == len(table.costs) >= 1
+                assert all(a < b for a, b in zip(table.lengths, table.lengths[1:]))
+                assert all(a > b for a, b in zip(table.costs, table.costs[1:]))
+
     def test_matches_enumeration_on_random_graphs(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

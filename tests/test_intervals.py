@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biasgraph import Interval, IntervalSet, pairwise_intersect
+from biasgraph import Interval, IntervalSet
 
 F = Fraction
 
@@ -16,17 +16,17 @@ def iset(*pairs) -> IntervalSet:
 
 
 def test_basic_intersection():
-    assert pairwise_intersect(iset((0, 2), (4, 6)), iset((1, 5))) == iset((1, 2), (4, 5))
+    assert iset((0, 2), (4, 6)).intersect(iset((1, 5))) == iset((1, 2), (4, 5))
 
 
 def test_identity_element():
     x = iset((1, 3), (5, None))
-    assert pairwise_intersect(x, IntervalSet.nonnegative()) == x
+    assert x.intersect(IntervalSet.nonnegative()) == x
 
 
 def test_empty_absorbs():
     x = iset((1, 3))
-    assert pairwise_intersect(x, IntervalSet.empty()) == IntervalSet.empty()
+    assert x.intersect(IntervalSet.empty()) == IntervalSet.empty()
     assert IntervalSet.empty().is_empty
 
 
@@ -35,8 +35,8 @@ def test_touching_intervals_merge():
 
 
 def test_overlap_with_unbounded():
-    assert pairwise_intersect(iset((0, None)), iset((3, 7))) == iset((3, 7))
-    assert pairwise_intersect(iset((2, None)), iset((0, None))) == iset((2, None))
+    assert iset((0, None)).intersect(iset((3, 7))) == iset((3, 7))
+    assert iset((2, None)).intersect(iset((0, None))) == iset((2, None))
 
 
 def test_min_point_and_contains():
@@ -68,24 +68,22 @@ def interval_sets(draw):
 
 @given(interval_sets(), interval_sets())
 def test_intersection_commutative(a, b):
-    assert pairwise_intersect(a, b) == pairwise_intersect(b, a)
+    assert a.intersect(b) == b.intersect(a)
 
 
 @given(interval_sets(), interval_sets(), interval_sets())
 def test_intersection_associative(a, b, c):
-    assert pairwise_intersect(pairwise_intersect(a, b), c) == pairwise_intersect(
-        a, pairwise_intersect(b, c)
-    )
+    assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
 
 
 @given(interval_sets())
 def test_nonnegative_is_identity(a):
-    assert pairwise_intersect(a, IntervalSet.nonnegative()) == a
+    assert a.intersect(IntervalSet.nonnegative()) == a
 
 
 @given(interval_sets(), interval_sets(), fractions_)
 def test_membership_respects_intersection(a, b, x):
-    both = pairwise_intersect(a, b)
+    both = a.intersect(b)
     assert both.contains(x) == (a.contains(x) and b.contains(x))
 
 

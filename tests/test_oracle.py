@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biasgraph
 from biasgraph import (
     BiasDistribution,
     FanSpec,
@@ -134,6 +139,24 @@ class TestGenerators:
         a = random_layered_graph(np.random.default_rng(7)).to_json()
         b = random_layered_graph(np.random.default_rng(7)).to_json()
         assert a == b
+
+    def test_generation_ignores_hash_seed(self):
+        script = (
+            "import numpy as np; from biasgraph.oracle import random_layered_graph; "
+            "rng = np.random.default_rng(0); "
+            "print([random_layered_graph(rng).to_json() for _ in range(20)])"
+        )
+        src = str(Path(biasgraph.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestMonteCarloFan:
