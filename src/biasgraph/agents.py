@@ -61,10 +61,6 @@ class TraversalStep:
     perceived: Fraction
     alternatives: tuple[tuple[str, Fraction], ...]  # non-chosen successors and their costs
 
-    @property
-    def runner_up(self) -> tuple[str, Fraction] | None:
-        return min(self.alternatives, key=lambda a: a[1]) if self.alternatives else None
-
     def to_json_dict(self) -> dict:
         return {
             "at": self.at,
@@ -153,6 +149,8 @@ def traverse(
 ) -> TraversalTrace:
     """Walk from source to sink, re-deciding with fresh bias at every vertex."""
     opponent_length = opponent.length if isinstance(opponent, PathRecord) else opponent
+    if opponent_length is not None and opponent_length < 1:
+        raise ValueError("opponent length must be at least 1")
     prefix = [graph.source]
     log: list[TraversalStep] = []
     on_reference = reference is not None

@@ -320,7 +320,7 @@ def run(argv: list[str]) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (BiasGraphError, ValueError, ZeroDivisionError, KeyError, OSError,
+    except (BiasGraphError, ValueError, ZeroDivisionError, OverflowError, KeyError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -187,9 +187,12 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
 #
 # Walking q with a decrementing hop budget, the perceived continuation value
 # from any vertex is the lower envelope of up to three lines in the reward r
-# (slopes 0, -1/2, -1 for the lose/tie/win cases).  Between envelope
-# breakpoints both sides of the stay condition are linear, so each piece
-# contributes one closed subinterval of feasible rewards.
+# (slopes 0, -1/2, -1 for the lose/tie/win cases).  Staying on the edge (u, v)
+# weakly beats the deviation (u, v') when min_d d(r) - min_s s(r) >= margin,
+# with d over the deviation's lines and s over the stay lines, that is when
+# every d lies at least margin above some s.  Each (d, s) pair is one linear
+# inequality in r whose solutions with r >= 0 form a closed half-line, so a
+# deviation's feasible set is the intersection over d of the union over s.
 
 _LOSE, _TIE, _WIN = Fraction(0), Fraction(-1, 2), Fraction(-1)
 
@@ -220,78 +223,45 @@ def _crossings(lines: list[tuple[Fraction, Fraction]]) -> set[Fraction]:
     return points
 
 
-def _envelope_at(lines: list[tuple[Fraction, Fraction]], r: Fraction) -> tuple[Fraction, Fraction]:
-    """Active (intercept, slope) of the lower envelope at r (no interior ties)."""
-    return min(lines, key=lambda line: (line[0] + line[1] * r, line[1]))
+def _half_line(intercept: Fraction, slope: Fraction) -> Interval | None:
+    """{r >= 0 : intercept + slope * r >= 0}."""
+    if slope == 0:
+        return Interval(Fraction(0), None) if intercept >= 0 else None
+    root = -intercept / slope
+    if slope > 0:
+        return Interval(max(root, Fraction(0)), None)
+    return Interval(Fraction(0), root) if root >= 0 else None
 
 
-def _prefer_edge_rewards(
-    stay_lines: list[tuple[Fraction, Fraction]],
-    dev_lines: list[tuple[Fraction, Fraction]],
-    margin: Fraction,
-    breakpoints: set[Fraction] | None,
-) -> IntervalSet:
-    """All r >= 0 where dev_envelope(r) - stay_envelope(r) >= margin."""
-    points = sorted({Fraction(0)} | _crossings(stay_lines) | _crossings(dev_lines))
-    if breakpoints is not None:
-        breakpoints.update(points)
-    pieces: list[tuple[Fraction, Fraction | None]] = [
-        (points[i], points[i + 1]) for i in range(len(points) - 1)
-    ]
-    pieces.append((points[-1], None))
-
-    feasible: list[Interval | None] = []
-    for lo, hi in pieces:
-        probe = lo + 1 if hi is None else (lo + hi) / 2
-        a_c, s_c = _envelope_at(stay_lines, probe)
-        a_d, s_d = _envelope_at(dev_lines, probe)
-        intercept = a_d - a_c - margin
-        slope = s_d - s_c
-        if slope == 0:
-            if intercept >= 0:
-                feasible.append(Interval(lo, hi))
-            continue
-        threshold = -intercept / slope
-        if slope > 0:  # condition holds for r >= threshold
-            cut_lo = max(lo, threshold)
-            if hi is None or cut_lo <= hi:
-                feasible.append(Interval(cut_lo, hi))
-        else:  # holds for r <= threshold
-            if threshold >= lo:
-                cut_hi = threshold if hi is None else min(hi, threshold)
-                feasible.append(Interval(lo, cut_hi))
-    return IntervalSet.from_intervals(feasible)
-
-
-def feasible_rewards(
-    graph: TaskGraph,
-    q: PathRecord,
-    bias: Fraction,
-    breakpoints: set[Fraction] | None = None,
-) -> IntervalSet:
-    """The exact set of rewards making q a symmetric Nash equilibrium.
-
-    Intersects, over every edge (u, v) of q and every deviation (u, v'), the
-    rewards under which the agent weakly prefers staying.  ``breakpoints``
-    collects every piecewise-linear switch point encountered, for callers that
-    cross-check the result by sweeping.
-    """
+def _deviations(graph: TaskGraph, q: PathRecord, bias: Fraction):
+    """(stay_lines, dev_lines, margin) for every edge (u, v) of q and every
+    deviation (u, v'), where margin is bias * (c(u, v) - c(u, v'))."""
     _require_full_path(graph, q)
-    bias = Fraction(bias)
-    result = IntervalSet.nonnegative()
+    bias = AgentConfig(bias).bias
     budget = q.length
     for u, v in zip(q.vertices, q.vertices[1:]):
         budget -= 1
         stay_lines = _case_lines(graph, v, budget)
         stay_edge_cost = graph.edge_cost(u, v)
         for e in graph.successors(u):
-            if e.head == v:
-                continue
-            dev_lines = _case_lines(graph, e.head, budget)
-            margin = bias * (stay_edge_cost - e.cost)
-            per_deviation = _prefer_edge_rewards(stay_lines, dev_lines, margin, breakpoints)
-            result = result.intersect(per_deviation)
-            if result.is_empty and breakpoints is None:
+            if e.head != v:
+                margin = bias * (stay_edge_cost - e.cost)
+                yield stay_lines, _case_lines(graph, e.head, budget), margin
+
+
+def feasible_rewards(graph: TaskGraph, q: PathRecord, bias: Fraction) -> IntervalSet:
+    """The exact set of rewards making q a symmetric Nash equilibrium.
+
+    Intersects, over every edge (u, v) of q and every deviation (u, v'), the
+    rewards under which the agent weakly prefers staying.
+    """
+    result = IntervalSet.nonnegative()
+    for stay_lines, dev_lines, margin in _deviations(graph, q, bias):
+        for a_d, s_d in dev_lines:
+            result = result.intersect(IntervalSet.from_intervals(
+                _half_line(a_d - a_s - margin, s_d - s_s) for a_s, s_s in stay_lines
+            ))
+            if result.is_empty:
                 return result
     return result
 
@@ -302,9 +272,12 @@ def min_reward_for_ne(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Fracti
 
 
 def algorithm_breakpoints(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, ...]:
-    """All envelope switch points plus the feasible-set endpoints, sorted."""
-    points: set[Fraction] = set()
-    feasible = feasible_rewards(graph, q, bias, breakpoints=points)
+    """0, every positive crossing among the stay lines and among the deviation
+    lines of every deviation, and the feasible set's endpoints, sorted."""
+    feasible = feasible_rewards(graph, q, bias)
+    points = {Fraction(0)}
+    for stay_lines, dev_lines, _ in _deviations(graph, q, bias):
+        points |= _crossings(stay_lines) | _crossings(dev_lines)
     for interval in feasible.intervals:
         points.add(interval.lo)
         if interval.hi is not None:

@@ -145,7 +145,7 @@ class TestTraverse:
         assert [s.chose for s in trace.steps] == list(trace.path.vertices[1:])
         first = trace.steps[0]
         assert first.perceived == 11
-        assert first.runner_up == ("x", F(12))
+        assert first.alternatives == (("x", F(12)),)
 
     def test_trace_serializes(self, fig1, bias2):
         graph, _ = fig1

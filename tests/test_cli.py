@@ -2,6 +2,8 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
+
 from biasgraph import make_fan, FanSpec
 from biasgraph.cli import run
 
@@ -217,3 +219,37 @@ def test_unknown_arguments_exit_2(capsys):
 def test_missing_file_exits_2(capsys):
     code, _ = invoke(capsys, "simulate", "--graph", "/nonexistent.json", "--bias", "2")
     assert code == 2
+
+
+def test_min_reward_rejects_bias_below_one(capsys, tmp_path):
+    _, graph_json = invoke(capsys, "gen", "fig1")
+    graph_file = tmp_path / "fig1.json"
+    graph_file.write_text(graph_json)
+    code, out = invoke(capsys, "min-reward", "--graph", str(graph_file), "--path", "s,x,t",
+                       "--bias", "-3")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bne-fan", "--n", "2000", "--c", "2", "--dist", "equal-revenue", "--r", "4"],
+    ["bne-fan-multi", "--n", "2000", "--c", "2", "--dist", "equal-revenue", "--m", "3",
+     "--r", "4"],
+    ["bne-fan", "--n", "5", "--c", "2", "--dist", "equal-revenue", "--r", "1e400"],
+])
+def test_bne_overflow_exits_2(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_simulate_rejects_negative_opponent_length(capsys, tmp_path):
+    _, graph_json = invoke(capsys, "gen", "fig1")
+    graph_file = tmp_path / "fig1.json"
+    graph_file.write_text(graph_json)
+    code, out = invoke(capsys, "simulate", "--graph", str(graph_file), "--bias", "2",
+                       "--opponent-length", "-5", "--reward", "1")
+    assert code == 2
+    assert out == ""

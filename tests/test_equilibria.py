@@ -315,6 +315,26 @@ class TestFeasibleRewards:
         assert F(81, 16) in points
         assert all(p >= 0 for p in points)
 
+    def test_breakpoints_pinned(self, fan5):
+        # the alg1 suite sweeps these points; a change here changes what it checks
+        for name, key, expected in (("fig7a", "Q", (0, 97, 194, 196)),
+                                    ("fig7a", "V", (0, 97, 194)),
+                                    ("fig7b", "Q", (0, 6, 10))):
+            graph, meta = make_named_instance(name)
+            q = PathRecord.from_vertices(graph, meta[key])
+            assert algorithm_breakpoints(graph, q, F(10)) == expected, (name, key)
+        _, graph = fan5
+        assert algorithm_breakpoints(graph, fan_path(graph, 5), F(2)) == (0, F(81, 16))
+
+    def test_bias_below_one_rejected(self, fig1):
+        graph, _ = fig1
+        q = PathRecord.from_vertices(graph, ("s", "x", "t"))
+        for bias in (F(1, 2), F(-3)):
+            with pytest.raises(ValueError, match="bias must be at least 1"):
+                feasible_rewards(graph, q, bias)
+            with pytest.raises(ValueError, match="bias must be at least 1"):
+                algorithm_breakpoints(graph, q, bias)
+
     def test_membership_equals_traversal_check_on_random_graphs(self):
         from biasgraph.oracle import enumerate_paths
 
