@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 from .agents import AgentConfig, RewardTie, TraversalTrace, traverse
 from .errors import BiasNotAboveC, NoDominantPath
@@ -188,82 +190,121 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
 # Walking q with a decrementing hop budget, the perceived continuation value
 # from any vertex is the lower envelope of up to three lines in the reward r
 # (slopes 0, -1/2, -1 for the lose/tie/win cases).  Staying on the edge (u, v)
-# weakly beats the deviation (u, v') when min_d d(r) - min_s s(r) >= margin,
-# with d over the deviation's lines and s over the stay lines, that is when
-# every d lies at least margin above some s.  Each (d, s) pair is one linear
-# inequality in r whose solutions with r >= 0 form a closed half-line, so a
-# deviation's feasible set is the intersection over d of the union over s.
+# weakly beats the deviation (u, v') when every deviation line d lies at least
+# margin = bias * (c(u, v) - c(u, v')) above some stay line s.  For one pair
+# (d, s) this holds on a closed half-line of r >= 0, [0, root] or [root, inf),
+# so for one d it holds on [0, A] u [B, inf) and d excludes only the open gap
+# (A, B).  The feasible set is [0, inf) minus the union of all gaps, found by
+# one sort and one left-to-right sweep.
+#
+# The arithmetic is on integers.  Every cost is a sum of edge costs, so scaled
+# by unit = bias.denominator * lcm(edge-cost denominators) it is an integer,
+# and so is the scaled margin.  Slopes are kept in halves (0, -1, -2), so every
+# root and crossing is an integer count of 1/unit; only the returned endpoints
+# become Fractions.
 
-_LOSE, _TIE, _WIN = Fraction(0), Fraction(-1, 2), Fraction(-1)
+
+def _scale(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, int]:
+    """The validated bias, and the unit: costs and rewards are counted in 1/unit."""
+    _require_full_path(graph, q)
+    bias = AgentConfig(bias).bias
+    return bias, bias.denominator * lcm(*{e.cost.denominator for e in graph.edges})
 
 
-def _case_lines(graph: TaskGraph, v: str, budget: int) -> list[tuple[Fraction, Fraction]]:
-    """(intercept, slope) lines whose lower envelope is the continuation value."""
+def _scaled(cost: Fraction, unit: int) -> int:
+    return cost.numerator * (unit // cost.denominator)
+
+
+def _case_lines(graph: TaskGraph, v: str, budget: int, unit: int) -> list[tuple[int, int]]:
+    """(intercept, half-slope) lines whose lower envelope is the continuation value."""
     table = graph.hop_table(v)
-    lines = [(table.cost_any(), _LOSE)]
+    lines = [(_scaled(table.cost_any(), unit), 0)]
     tie_cost = table.cost_at_most(budget)
     if tie_cost is not None:
-        lines.append((tie_cost, _TIE))
+        lines.append((_scaled(tie_cost, unit), -1))
     win_cost = table.cost_fewer(budget)
     if win_cost is not None:
-        lines.append((win_cost, _WIN))
+        lines.append((_scaled(win_cost, unit), -2))
     return lines
 
 
-def _crossings(lines: list[tuple[Fraction, Fraction]]) -> set[Fraction]:
-    points: set[Fraction] = set()
+def _crossings(lines: list[tuple[int, int]]) -> set[int]:
+    points: set[int] = set()
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             (a1, s1), (a2, s2) = lines[i], lines[j]
-            if s1 == s2:
-                continue
-            r = (a1 - a2) / (s2 - s1)
-            if r > 0:
-                points.add(r)
+            if s1 != s2:
+                r = 2 * (a1 - a2) // (s2 - s1)
+                if r > 0:
+                    points.add(r)
     return points
 
 
-def _half_line(intercept: Fraction, slope: Fraction) -> Interval | None:
-    """{r >= 0 : intercept + slope * r >= 0}."""
-    if slope == 0:
-        return Interval(Fraction(0), None) if intercept >= 0 else None
-    root = -intercept / slope
-    if slope > 0:
-        return Interval(max(root, Fraction(0)), None)
-    return Interval(Fraction(0), root) if root >= 0 else None
-
-
-def _deviations(graph: TaskGraph, q: PathRecord, bias: Fraction):
+def _deviations(graph: TaskGraph, q: PathRecord, bias: Fraction, unit: int):
     """(stay_lines, dev_lines, margin) for every edge (u, v) of q and every
-    deviation (u, v'), where margin is bias * (c(u, v) - c(u, v'))."""
-    _require_full_path(graph, q)
-    bias = AgentConfig(bias).bias
+    deviation (u, v'), where margin is bias * (c(u, v) - c(u, v')) * unit."""
     budget = q.length
     for u, v in zip(q.vertices, q.vertices[1:]):
         budget -= 1
-        stay_lines = _case_lines(graph, v, budget)
-        stay_edge_cost = graph.edge_cost(u, v)
+        stay_lines = _case_lines(graph, v, budget, unit)
+        stay_edge_cost = _scaled(graph.edge_cost(u, v), unit)
         for e in graph.successors(u):
             if e.head != v:
-                margin = bias * (stay_edge_cost - e.cost)
-                yield stay_lines, _case_lines(graph, e.head, budget), margin
+                margin = bias.numerator * (stay_edge_cost - _scaled(e.cost, unit)) // bias.denominator
+                yield stay_lines, _case_lines(graph, e.head, budget, unit), margin
+
+
+def _gaps(stay_lines: list[tuple[int, int]], dev_lines: list[tuple[int, int]], margin: int):
+    """For each deviation line, the open gap (lo, hi) where it lies less than
+    margin above every stay line, unless empty; lo = -1 stands for a gap that
+    reaches below 0 and hi = None for one with no upper end."""
+    for a_d, s_d in dev_lines:
+        lo, hi = -1, None
+        for a_s, s_s in stay_lines:
+            x, k = 2 * (a_d - a_s - margin), s_d - s_s
+            if k == 0:
+                if x >= 0:
+                    break
+            elif k < 0:  # holds on [0, -x / k]
+                lo = max(lo, -x // k)
+            elif hi is None or -x // k < hi:  # holds on [-x / k, inf)
+                hi = -x // k
+        else:
+            if hi is None or hi > lo:
+                yield lo, hi
+
+
+def _sweep(gaps: list[tuple[int, int | None]]) -> list[tuple[int, int | None]]:
+    """[0, inf) minus the union of the open gaps, as sorted disjoint closed pieces."""
+    pieces: list[tuple[int, int | None]] = []
+    start = 0
+    for lo, hi in sorted(gaps, key=itemgetter(0)):
+        if lo >= start:
+            pieces.append((start, lo))
+        if hi is None:
+            return pieces
+        start = max(start, hi)
+    pieces.append((start, None))
+    return pieces
 
 
 def feasible_rewards(graph: TaskGraph, q: PathRecord, bias: Fraction) -> IntervalSet:
     """The exact set of rewards making q a symmetric Nash equilibrium.
 
-    Intersects, over every edge (u, v) of q and every deviation (u, v'), the
-    rewards under which the agent weakly prefers staying.
+    Removes from [0, inf), over every edge (u, v) of q and every deviation
+    (u, v'), the rewards under which the agent strictly prefers deviating.
     """
-    result = IntervalSet.nonnegative()
-    for stay_lines, dev_lines, margin in _deviations(graph, q, bias):
-        for a_d, s_d in dev_lines:
-            result = result.intersect(IntervalSet.from_intervals(
-                _half_line(a_d - a_s - margin, s_d - s_s) for a_s, s_s in stay_lines
-            ))
-            if result.is_empty:
-                return result
-    return result
+    bias, unit = _scale(graph, q, bias)
+    gaps: list[tuple[int, int | None]] = []
+    for stay_lines, dev_lines, margin in _deviations(graph, q, bias, unit):
+        for gap in _gaps(stay_lines, dev_lines, margin):
+            if gap == (-1, None):  # excludes every reward
+                return IntervalSet.empty()
+            gaps.append(gap)
+    return IntervalSet(tuple(
+        Interval(Fraction(lo, unit), None if hi is None else Fraction(hi, unit))
+        for lo, hi in _sweep(gaps)
+    ))
 
 
 def min_reward_for_ne(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Fraction | None:
@@ -274,12 +315,10 @@ def min_reward_for_ne(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Fracti
 def algorithm_breakpoints(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, ...]:
     """0, every positive crossing among the stay lines and among the deviation
     lines of every deviation, and the feasible set's endpoints, sorted."""
-    feasible = feasible_rewards(graph, q, bias)
-    points = {Fraction(0)}
-    for stay_lines, dev_lines, _ in _deviations(graph, q, bias):
+    bias, unit = _scale(graph, q, bias)
+    points, gaps = {0}, []
+    for stay_lines, dev_lines, margin in _deviations(graph, q, bias, unit):
         points |= _crossings(stay_lines) | _crossings(dev_lines)
-    for interval in feasible.intervals:
-        points.add(interval.lo)
-        if interval.hi is not None:
-            points.add(interval.hi)
-    return tuple(sorted(points))
+        gaps.extend(_gaps(stay_lines, dev_lines, margin))
+    points.update(p for piece in _sweep(gaps) for p in piece if p is not None)
+    return tuple(Fraction(p, unit) for p in sorted(points))

@@ -112,7 +112,7 @@ def suite_thm1(seed: int, scale: float = 1.0) -> dict:
         thresholds = fan_ne_thresholds(spec, bias)
         lo, hi = thresholds.optimal_min_reward, thresholds.longest_max_reward
         probes = {lo, hi, lo / 2, lo + Fraction(1, 100), hi + Fraction(1, 100), hi * 2}
-        for _ in range(int(8 * scale)):
+        for _ in range(max(1, int(8 * scale))):
             probes.add(Fraction(int(rng.integers(0, 64)), 4))
         for r in sorted(probes):
             cases += 1

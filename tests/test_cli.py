@@ -1,10 +1,15 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from biasgraph import make_fan, FanSpec
+from biasgraph import cli, make_fan, FanSpec, verify
 from biasgraph.cli import run
 
 
@@ -195,6 +200,29 @@ def test_verify_suite(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True and payload["failures"] == []
+
+
+def test_verify_thm1_draws_a_random_fan_at_small_scale():
+    # 24 fixed probes: six threshold probes on each of the four fans
+    assert verify.run_suite("thm1", seed=0, scale=0.1)["cases"] > 24
+
+
+def test_verify_suite_choices_are_the_suites():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == verify.SUITES
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy comes in with biasgraph.verify, which only the verify command needs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import biasgraph.cli, sys; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_verify_rejects_nonpositive_scale(capsys):

@@ -1,11 +1,16 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasgraph import (
     BiasNotAboveC,
     FanSpec,
+    Interval,
+    IntervalSet,
     NoDominantPath,
     PathRecord,
     RewardTie,
@@ -21,6 +26,7 @@ from biasgraph import (
     make_named_instance,
     min_reward_for_ne,
     nondominated_ladder,
+    validate,
 )
 from biasgraph.oracle import (
     best_response_table,
@@ -351,3 +357,131 @@ class TestFeasibleRewards:
                     for r in candidates:
                         stays = check_symmetric_ne(graph, q, r, bias).is_equilibrium
                         assert feasible.contains(r) == stays, (q.vertices, bias, r)
+
+
+# The half-line kernel in Fraction arithmetic, kept here as the reference the
+# integer gap sweep in feasible_rewards must reproduce exactly: per deviation
+# line, the union over stay lines of the half-lines where it lies at least the
+# margin above them, intersected over every deviation line of every deviation.
+
+def _ref_half_line(intercept, slope):
+    """{r >= 0 : intercept + slope * r >= 0}."""
+    if slope == 0:
+        return Interval(F(0), None) if intercept >= 0 else None
+    root = -intercept / slope
+    if slope > 0:
+        return Interval(max(root, F(0)), None)
+    return Interval(F(0), root) if root >= 0 else None
+
+
+def _ref_case_lines(graph, v, budget):
+    table = graph.hop_table(v)
+    lines = [(table.cost_any(), F(0))]
+    for cost, slope in ((table.cost_at_most(budget), F(-1, 2)), (table.cost_fewer(budget), F(-1))):
+        if cost is not None:
+            lines.append((cost, slope))
+    return lines
+
+
+def reference_feasible_rewards(graph, q, bias):
+    result = IntervalSet.nonnegative()
+    budget = q.length
+    for u, v in zip(q.vertices, q.vertices[1:]):
+        budget -= 1
+        stay_lines = _ref_case_lines(graph, v, budget)
+        for e in graph.successors(u):
+            if e.head == v:
+                continue
+            margin = bias * (graph.edge_cost(u, v) - e.cost)
+            for a_d, s_d in _ref_case_lines(graph, e.head, budget):
+                result = result.intersect(IntervalSet.from_intervals(
+                    _ref_half_line(a_d - a_s - margin, s_d - s_s) for a_s, s_s in stay_lines
+                ))
+    return result
+
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def coprime_graph(rng):
+    """A random layered graph whose edge i costs n / (p_i * p_{i+7}) over the
+    odd primes up to 47, so seven edges carry every prime as a denominator."""
+    base = random_layered_graph(rng, min_interior=2)
+    edges = []
+    for i, e in enumerate(base.edges):
+        d = PRIMES[i % 7] * PRIMES[i % 7 + 7]
+        n = int(rng.integers(1, 3 * d))
+        while gcd(n, d) != 1:
+            n += 1
+        edges.append({"from": e.tail, "to": e.head, "cost": f"{n}/{d}"})
+    return validate({"vertices": list(base.vertices), "edges": edges,
+                     "source": base.source, "sink": base.sink})
+
+
+def two_interval_graph():
+    edges = [("s", "v0", 8), ("s", "v3", 13), ("s", "v4", 13), ("v0", "v1", 3), ("v0", "v4", 5),
+             ("v1", "v2", 8), ("v1", "v7", 0), ("v1", "t", 21), ("v2", "v3", 0), ("v2", "v6", 5),
+             ("v3", "v4", 1), ("v3", "v5", 5), ("v3", "v6", 0), ("v3", "v7", 8), ("v4", "v5", 0),
+             ("v4", "v6", 1), ("v5", "v6", 0), ("v5", "t", 8), ("v6", "v7", 0), ("v6", "t", 5),
+             ("v7", "t", 21)]
+    return build_graph(edges, vertices=["s"] + [f"v{i}" for i in range(8)] + ["t"])
+
+
+class TestFeasibleRewardsSweep:
+    def test_two_interval_reward_set(self):
+        graph = two_interval_graph()
+        q = PathRecord.from_vertices(graph, ("s", "v0", "v1", "v7", "t"))
+        feasible = feasible_rewards(graph, q, F(4))
+        assert feasible.to_json_list() == [{"lo": "0", "hi": "2"}, {"lo": "14", "hi": "126"}]
+        assert algorithm_breakpoints(graph, q, F(4)) == (0, 1, 2, 8, 14, 16, 26, 126)
+        for r, stays in ((2, True), (3, False), (14, True), (127, False)):
+            assert check_symmetric_ne(graph, q, F(r), F(4)).is_equilibrium == stays, r
+
+    def test_two_interval_graph_matches_reference(self):
+        graph = two_interval_graph()
+        for q in enumerate_paths(graph):
+            for bias in (F(1), F(6, 5), F(2), F(13, 6), F(4), F(10)):
+                assert feasible_rewards(graph, q, bias) == reference_feasible_rewards(graph, q, bias)
+
+    @pytest.mark.parametrize("edges, expected, probes", [
+        # At s the deviation's tie line (39, slope -1/2) lies below the stay tie
+        # line (40), but above the stay lose line (36) for r <= 6 and above the
+        # stay win line (40, slope -1) for r >= 2, so it excludes no reward.
+        ([("s", "v", 4), ("s", "u", 4), ("v", "w", 20), ("w", "t", 20), ("v", "t", 40),
+          ("v", "a", 36), ("a", "b", 0), ("b", "c", 0), ("c", "t", 0), ("u", "x", 19),
+          ("x", "t", 20)],
+         ("0", "40"), ((0, True), (4, True), (40, True), (41, False))),
+        # At s the deviation has only its lose line (9); the stay tie line
+        # (12, slope -1/2) falls to it at r = 6, before the win line (20, slope -1)
+        # does at r = 11, so the first crossing ends the excluded gap.
+        ([("s", "v", 0), ("s", "u", 0), ("v", "w", 6), ("w", "t", 6), ("v", "t", 20),
+          ("v", "a", 10), ("a", "b", 0), ("b", "c", 0), ("c", "t", 0), ("u", "x", 3),
+          ("x", "y", 3), ("y", "t", 3)],
+         ("6", "44"), ((5, False), (6, True), (44, True), (45, False))),
+    ])
+    def test_one_deviation_line_against_several_stay_lines(self, edges, expected, probes):
+        graph = build_graph(edges)
+        q = PathRecord.from_vertices(graph, ("s", "v", "w", "t"))
+        lo, hi = expected
+        assert feasible_rewards(graph, q, F(2)).to_json_list() == [{"lo": lo, "hi": hi}]
+        for r, stays in probes:
+            assert check_symmetric_ne(graph, q, F(r), F(2)).is_equilibrium == stays, r
+        for p in enumerate_paths(graph):
+            for bias in (F(1), F(6, 5), F(2), F(13, 6), F(5)):
+                assert feasible_rewards(graph, p, bias) == reference_feasible_rewards(graph, p, bias)
+
+    def test_coprime_denominators_reach_unit_of_1e18(self):
+        graph = coprime_graph(np.random.default_rng(0))
+        assert F(6, 5).denominator * lcm(*{e.cost.denominator for e in graph.edges}) > 10**18
+        for q in enumerate_paths(graph):
+            assert feasible_rewards(graph, q, F(6, 5)) == reference_feasible_rewards(graph, q, F(6, 5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), coprime=st.booleans(),
+           bias=st.sampled_from((F(1), F(6, 5), F(3, 2), F(2), F(13, 6), F(10))))
+    def test_matches_fraction_reference(self, seed, coprime, bias):
+        rng = np.random.default_rng(seed)
+        graph = coprime_graph(rng) if coprime else random_layered_graph(rng)
+        for q in enumerate_paths(graph):
+            assert feasible_rewards(graph, q, bias) == reference_feasible_rewards(graph, q, bias), \
+                q.vertices
