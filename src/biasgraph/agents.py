@@ -17,24 +17,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ZeroOptimalCost
 from .graph import PathRecord, TaskGraph
 
 
 class RewardTie(enum.Enum):
-    """Reward paid when both agents finish simultaneously."""
+    """The ``share`` of the reward each agent earns when both finish simultaneously."""
 
-    SPLIT = "split"  # each gets r/2
-    FULL = "full"    # each gets r
-    NONE = "none"    # neither gets anything
+    SPLIT = "split"
+    FULL = "full"
+    NONE = "none"
 
-    def tie_amount(self, reward: Fraction) -> Fraction:
-        if self is RewardTie.SPLIT:
-            return reward / 2
-        if self is RewardTie.FULL:
-            return reward
-        return Fraction(0)
+    def __init__(self, value: str) -> None:
+        self.share = {"split": Fraction(1, 2), "full": Fraction(1), "none": Fraction(0)}[value]
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def perceived_cost(
     candidates = [best_any]
     tie_cost = table.cost_at_most(budget)
     if tie_cost is not None:
-        candidates.append(tie_cost - config.reward_tie.tie_amount(reward))
+        candidates.append(tie_cost - config.reward_tie.share * reward)
     win_cost = table.cost_fewer(budget)
     if win_cost is not None:
         candidates.append(win_cost - reward)
@@ -119,8 +116,8 @@ def step(
     opponent_length: int | None = None,
     reward: Fraction = Fraction(0),
     reference_next: str | None = None,
-) -> tuple[str, list[tuple[str, Fraction]]]:
-    """Pick the successor with minimal perceived cost.
+) -> TraversalStep:
+    """Pick the successor with minimal perceived cost; return the step as logged.
 
     Ties prefer ``reference_next`` when given (the agent stays on a path it is
     being tested against), otherwise the earliest vertex in graph order.
@@ -131,25 +128,22 @@ def step(
     ]
     if not scored:
         raise ValueError(f"vertex {state.vertex} has no successor")
-    best = min(cost for _, cost in scored)
-    choices = [v for v, cost in scored if cost == best]
-    if reference_next is not None and reference_next in choices:
+    chosen, best = min(scored, key=itemgetter(1))
+    if reference_next is not None and (reference_next, best) in scored:
         chosen = reference_next
-    else:
-        chosen = min(choices, key=graph.index.__getitem__)
-    return chosen, scored
+    alternatives = tuple((v, cost) for v, cost in scored if v != chosen)
+    return TraversalStep(state.vertex, chosen, best, alternatives)
 
 
 def traverse(
     graph: TaskGraph,
     config: AgentConfig,
-    opponent: PathRecord | int | None = None,
+    opponent: int | None = None,
     reward: Fraction = Fraction(0),
     reference: PathRecord | None = None,
 ) -> TraversalTrace:
     """Walk from source to sink, re-deciding with fresh bias at every vertex."""
-    opponent_length = opponent.length if isinstance(opponent, PathRecord) else opponent
-    if opponent_length is not None and opponent_length < 1:
+    if opponent is not None and opponent < 1:
         raise ValueError("opponent length must be at least 1")
     prefix = [graph.source]
     log: list[TraversalStep] = []
@@ -161,16 +155,11 @@ def traverse(
         ref_next = None
         if on_reference and len(prefix) < len(reference.vertices):
             ref_next = reference.vertices[len(prefix)]
-        chosen, scored = step(graph, state, config, opponent_length, reward, ref_next)
-        perceived = next(cost for v, cost in scored if v == chosen)
-        alternatives = tuple(sorted(
-            ((v, cost) for v, cost in scored if v != chosen),
-            key=lambda a: graph.index[a[0]],
-        ))
-        log.append(TraversalStep(state.vertex, chosen, perceived, alternatives))
-        if on_reference and chosen != ref_next:
+        taken = step(graph, state, config, opponent, reward, ref_next)
+        log.append(taken)
+        if on_reference and taken.chose != ref_next:
             on_reference = False
-        prefix.append(chosen)
+        prefix.append(taken.chose)
     return TraversalTrace(PathRecord.from_vertices(graph, prefix), tuple(log))
 
 

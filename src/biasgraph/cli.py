@@ -46,15 +46,11 @@ def _round_floats(obj):
 
 
 def _emit(payload) -> None:
-    print(json.dumps(_round_floats(payload), sort_keys=True))
+    print(json.dumps(_round_floats(payload), sort_keys=True, allow_nan=False))
 
 
 def _read_graph(path: str) -> TaskGraph:
     return load_graph(Path(path).read_text())
-
-
-def _tie_rule(name: str) -> RewardTie:
-    return RewardTie(name)
 
 
 def _dist_from_args(args) -> BiasDistribution:
@@ -185,7 +181,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     graph = _read_graph(args.graph)
-    config = AgentConfig(Fraction(args.bias), _tie_rule(args.tie))
+    config = AgentConfig(Fraction(args.bias), RewardTie(args.tie))
     opponent = args.opponent_length
     if args.opponent_path is not None:
         opponent = resolve_path(graph, args.opponent_path).length
@@ -236,7 +232,7 @@ def _cmd_min_reward(args) -> int:
 
 def _cmd_unbiased_eq(args) -> int:
     graph = _read_graph(args.graph)
-    report = classify_unbiased(graph, Fraction(args.reward), _tie_rule(args.tie))
+    report = classify_unbiased(graph, Fraction(args.reward), RewardTie(args.tie))
     _emit({
         "ladder": [p.to_json_dict() for p in report.ladder.paths],
         "symmetric": [list(p.vertices) for p in report.symmetric],

@@ -97,31 +97,18 @@ def classify_unbiased(
 ) -> UnbiasedEqReport:
     """Classify the pure Nash equilibria of the unbiased game on the ladder."""
     ladder = nondominated_ladder(graph, reward)
-    paths = ladder.paths
-    reward = ladder.reward
-    n = len(paths)
-    symmetric: list[PathRecord] = []
-    asymmetric: tuple[PathRecord, PathRecord] | None = None
-
-    if tie_rule is RewardTie.FULL:
-        symmetric = list(paths)
-    elif tie_rule is RewardTie.NONE:
-        if n == 1:
-            symmetric = [paths[0]]
-        elif n == 2:
-            asymmetric = (paths[0], paths[1])
-    else:  # split
-        for i, p in enumerate(paths):
-            if i == 0:
-                ok = p.cost - paths[-1].cost <= reward / 2
-            else:
-                ok = paths[i - 1].cost - p.cost >= reward / 2
-            if ok:
-                symmetric.append(p)
-        if n == 2 and paths[0].cost - paths[1].cost == reward / 2:
-            asymmetric = (paths[0], paths[1])
-
-    return UnbiasedEqReport(ladder, tuple(symmetric), asymmetric, tie_rule)
+    paths, c = ladder.paths, ladder.costs
+    gain, tie = (1 - tie_rule.share) * ladder.reward, tie_rule.share * ladder.reward
+    # Staying on rung i earns s*r - c[i]; the best switches are to rung i - 1 (r - c[i-1]) and to the
+    # cheapest rung (-c[-1]).  As every c < c[-1] + r, only (0, 1) at n = 2 can be asymmetric.
+    symmetric = tuple(
+        p for i, p in enumerate(paths)
+        if (i == 0 or c[i - 1] - c[i] >= gain) and c[i] - c[-1] <= tie
+    )
+    asymmetric = None
+    if len(paths) == 2 and tie <= c[0] - c[1] <= gain:
+        asymmetric = (paths[0], paths[1])
+    return UnbiasedEqReport(ladder, symmetric, asymmetric, tie_rule)
 
 
 def _require_full_path(graph: TaskGraph, q: PathRecord) -> None:
@@ -164,9 +151,7 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
     any other path.  With ``agents`` competitors in total the sufficient reward
     is agents * bias * (largest edge cost on the path).
     """
-    bias = Fraction(bias)
-    if bias < 1:
-        raise ValueError("bias must be at least 1")
+    bias = AgentConfig(bias).bias
     if agents < 2:
         raise ValueError("need at least two competing agents")
 
@@ -316,9 +301,12 @@ def algorithm_breakpoints(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tu
     """0, every positive crossing among the stay lines and among the deviation
     lines of every deviation, and the feasible set's endpoints, sorted."""
     bias, unit = _scale(graph, q, bias)
-    points, gaps = {0}, []
+    points, gaps, seen = {0}, [], None
     for stay_lines, dev_lines, margin in _deviations(graph, q, bias, unit):
-        points |= _crossings(stay_lines) | _crossings(dev_lines)
+        if stay_lines is not seen:  # one list per on-path edge
+            seen = stay_lines
+            points |= _crossings(stay_lines)
+        points |= _crossings(dev_lines)
         gaps.extend(_gaps(stay_lines, dev_lines, margin))
     points.update(p for piece in _sweep(gaps) for p in piece if p is not None)
     return tuple(Fraction(p, unit) for p in sorted(points))

@@ -22,8 +22,8 @@ from .errors import CycleDetected, NegativeCost, NoSourceSinkPath
 
 def parse_cost(value: str | int | float | Fraction) -> Fraction:
     """Parse an edge cost exactly; raises NegativeCost for negative values."""
-    if isinstance(value, float):
-        raise ValueError(f"cost {value!r} must be a string or integer, not float")
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
+        raise ValueError(f"cost {value!r} must be a string or integer")
     cost = Fraction(value)
     if cost < 0:
         raise NegativeCost(f"negative edge cost {cost}")
@@ -189,6 +189,8 @@ def validate(data: Mapping) -> TaskGraph:
     ``graph.pruned``) rather than rejected.  Parallel edges keep the cheapest
     copy; self loops count as cycles.
     """
+    if not isinstance(data, Mapping):
+        raise ValueError("graph description must be a JSON object")
     try:
         raw_vertices = list(data["vertices"])
         raw_edges = list(data["edges"])
@@ -196,6 +198,10 @@ def validate(data: Mapping) -> TaskGraph:
         sink = data["sink"]
     except KeyError as exc:
         raise ValueError(f"graph description missing key {exc}") from None
+    except TypeError:
+        raise ValueError("graph vertices and edges must be lists") from None
+    if not all(isinstance(v, str) for v in [*raw_vertices, source, sink]):
+        raise ValueError("vertex ids must be strings")
 
     if len(set(raw_vertices)) != len(raw_vertices):
         raise ValueError("duplicate vertex ids")
@@ -207,8 +213,11 @@ def validate(data: Mapping) -> TaskGraph:
 
     best: dict[tuple[str, str], Fraction] = {}
     for item in raw_edges:
-        tail, head = item["from"], item["to"]
-        if tail not in known or head not in known:
+        try:
+            tail, head = item["from"], item["to"]
+        except TypeError:
+            raise ValueError(f"edge {item!r} must be a JSON object") from None
+        if not (isinstance(tail, str) and tail in known and isinstance(head, str) and head in known):
             raise ValueError(f"edge {tail}->{head} uses unknown vertex")
         if tail == head:
             raise CycleDetected(f"self loop at {tail}")

@@ -103,8 +103,5 @@ class IntervalSet:
                 j += 1
         return IntervalSet.from_intervals(out)
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_intervals(self.intervals + other.intervals)
-
     def to_json_list(self) -> list[dict]:
         return [i.to_json_dict() for i in self.intervals]

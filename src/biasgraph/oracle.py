@@ -179,12 +179,13 @@ def best_response_table(
     """
     reward = Fraction(reward)
     n = len(costs)
+    tie = {RewardTie.SPLIT: reward / 2, RewardTie.FULL: reward, RewardTie.NONE: Fraction(0)}[tie_rule]
 
     def payoff(mine: int, theirs: int) -> Fraction:
         if lengths[mine] < lengths[theirs]:
             return reward - costs[mine]
         if lengths[mine] == lengths[theirs]:
-            return tie_rule.tie_amount(reward) - costs[mine]
+            return tie - costs[mine]
         return -costs[mine]
 
     def is_best(mine: int, theirs: int) -> bool:

@@ -64,9 +64,9 @@ class TestPerceivedCost:
 class TestStep:
     def test_fig1_choices(self, fig1, bias2):
         graph, _ = fig1
-        chosen, _ = step(graph, at(graph, "s"), bias2)
+        chosen = step(graph, at(graph, "s"), bias2).chose
         assert chosen == "v"
-        chosen, _ = step(graph, at(graph, "s", "v"), bias2)
+        chosen = step(graph, at(graph, "s", "v"), bias2).chose
         assert chosen == "z"
 
     def test_unbiased_follows_cheapest(self):
@@ -74,18 +74,18 @@ class TestStep:
         unbiased = AgentConfig(F(1))
         for _ in range(10):
             graph = random_layered_graph(rng)
-            chosen, _ = step(graph, at(graph, graph.source), unbiased)
+            chosen = step(graph, at(graph, graph.source), unbiased).chose
             edge = graph.edge_cost(graph.source, chosen)
             assert edge + graph.cheapest_cost(chosen) == graph.cheapest_cost(graph.source)
 
     def test_reference_preference_breaks_ties(self, fan5, bias2):
         _, graph = fan5
         # at reward 1 both successors are perceived at 3/2; reference wins
-        chosen, _ = step(graph, at(graph, "s"), bias2, 1, F(1), reference_next="t")
+        chosen = step(graph, at(graph, "s"), bias2, 1, F(1), reference_next="t").chose
         assert chosen == "t"
-        chosen, _ = step(graph, at(graph, "s"), bias2, 1, F(1), reference_next="v1")
+        chosen = step(graph, at(graph, "s"), bias2, 1, F(1), reference_next="v1").chose
         assert chosen == "v1"
-        chosen, _ = step(graph, at(graph, "s"), bias2, 1, F(1))
+        chosen = step(graph, at(graph, "s"), bias2, 1, F(1)).chose
         assert chosen == "t"  # lexicographic fallback: sink registered first
 
 

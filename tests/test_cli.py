@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasgraph import cli, make_fan, FanSpec, verify
 from biasgraph.cli import run
@@ -281,3 +285,92 @@ def test_simulate_rejects_negative_opponent_length(capsys, tmp_path):
                        "--opponent-length", "-5", "--reward", "1")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("document", [
+    [1, 2],
+    {"vertices": 5, "edges": [], "source": "s", "sink": "t"},
+    {"vertices": ["s", "t"], "edges": [["s", "t", "1"]], "source": "s", "sink": "t"},
+    {"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": None}],
+     "source": "s", "sink": "t"},
+    {"vertices": ["s", ["x"], "t"], "edges": [{"from": "s", "to": "t", "cost": "1"}],
+     "source": "s", "sink": "t"},
+    {"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": "1"}],
+     "source": ["s"], "sink": "t"},
+    {"vertices": ["s", "t", 3], "edges": [{"from": "s", "to": "t", "cost": "1"}],
+     "source": "s", "sink": "t"},
+    {"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": True}],
+     "source": "s", "sink": "t"},
+])
+def test_malformed_graph_file_exits_2(capsys, tmp_path, document):
+    graph_file = tmp_path / "bad.json"
+    graph_file.write_text(json.dumps(document))
+    code = run(["validate", "--graph", str(graph_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bne-sweep", "--n", "5", "--c", "2", "--dist", "equal-revenue", "--r-min", "0",
+     "--r-max", "1.7e308", "--steps", "3", "--format", "json"],
+    ["bne-fan-multi", "--n", "5", "--c", "2", "--dist", "equal-revenue", "--m", "3",
+     "--per-agent-s", "1e308"],
+])
+def test_non_finite_json_exits_2(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: Out of range float values are not JSON compliant\n"
+
+
+_json_leaves = (st.none() | st.booleans() | st.floats() | st.integers(-3, 3)
+                | st.sampled_from(["s", "t", "a", "1", "1/2", "0", "-1", "1/0", ""]))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["from", "to", "cost", "vertices"]), inner, max_size=3),
+    max_leaves=6,
+)
+_VERTICES = ["s", "a", "b", "t"]
+_FORWARD_EDGES = [(u, v) for i, u in enumerate(_VERTICES) for v in _VERTICES[i + 1:]]
+
+
+@st.composite
+def _graph_documents(draw):
+    """A small DAG description with about one field in twenty replaced by random JSON."""
+    def field(good):
+        return draw(_json_values) if draw(st.integers(0, 19)) == 10 else good
+
+    edges = [
+        field({"from": field(u), "to": field(v),
+               "cost": field(draw(st.sampled_from(["0", "1/2", "1", "3"])))})
+        for u, v in draw(st.lists(st.sampled_from(_FORWARD_EDGES), min_size=2, max_size=6))
+    ]
+    vertices = field([field(v) for v in _VERTICES])
+    return field({"vertices": vertices, "edges": field(edges),
+                  "source": field("s"), "sink": field("t")})
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_graph_documents())
+def test_graph_input_never_escapes_the_exit_contract(tmp_path_factory, document):
+    graph_file = tmp_path_factory.getbasetemp() / "fuzz.json"
+    graph_file.write_text(json.dumps(document))
+    # Every command reads the graph first, so the others run only on files validate accepts.
+    for argv in (["validate"], ["simulate", "--bias", "2"], ["unbiased-eq", "--reward", "2"],
+                 ["cost-ratio", "--bias", "2"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run([argv[0], "--graph", str(graph_file), *argv[1:]])
+        assert code in (0, 2, 3, 4), (argv, document)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        elif argv[0] == "validate":
+            break

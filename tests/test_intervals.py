@@ -87,11 +87,6 @@ def test_membership_respects_intersection(a, b, x):
     assert both.contains(x) == (a.contains(x) and b.contains(x))
 
 
-@given(interval_sets(), interval_sets(), fractions_)
-def test_membership_respects_union(a, b, x):
-    assert a.union(b).contains(x) == (a.contains(x) or b.contains(x))
-
-
 @given(interval_sets())
 def test_normal_form_is_disjoint_and_sorted(a):
     for left, right in zip(a.intervals, a.intervals[1:]):
