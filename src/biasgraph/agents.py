@@ -9,7 +9,8 @@ The reward bucket of a continuation with j further edges, after the agent has
 walked ``steps`` edges and would take one more, compares steps+1+j against the
 opponent length k: win below, tie at equality, lose above.  The minimum over
 continuations therefore reduces to three hop-bounded cheapest costs, which is
-what :func:`perceived_cost` evaluates.
+what :func:`perceived_cost` evaluates.  The evaluation runs on integers, in a
+unit fixed once per traversal; only the logged costs become Fractions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .errors import ZeroOptimalCost
@@ -81,6 +83,57 @@ class TraversalTrace:
         }
 
 
+class _Perceiver:
+    """Perceived costs for one agent, opponent length and reward, as exact integers.
+
+    Costs are counted in 1/unit with unit = lcm(graph.unit * bias denominator,
+    share denominator * reward denominator), so the biased edge, the
+    continuation, the tie share of the reward and the reward are all integers.
+    """
+
+    def __init__(self, graph: TaskGraph, config: AgentConfig, opponent_length: int | None,
+                 reward: Fraction) -> None:
+        reward = Fraction(reward)
+        if reward < 0:
+            raise ValueError("reward must be nonnegative")
+        bias, share = config.bias, config.reward_tie.share
+        self.graph, self.opponent_length = graph, opponent_length
+        self.unit = lcm(graph.unit * bias.denominator, share.denominator * reward.denominator)
+        self.scale = self.unit // graph.unit  # continuation costs are in 1/graph.unit
+        self.bias = bias.numerator * (self.scale // bias.denominator)
+        self.tie = share.numerator * reward.numerator * (
+            self.unit // (share.denominator * reward.denominator))
+        self.win = reward.numerator * (self.unit // reward.denominator)
+
+    def __call__(self, steps_taken: int, cost: Fraction, successor: str) -> int:
+        """The three-case reduction for an edge of ``cost`` into ``successor``."""
+        graph, scale = self.graph, self.scale
+        table = graph.hop_tables[successor]
+        biased_edge = self.bias * graph.units(cost)
+        if self.opponent_length is None:
+            return biased_edge + scale * table.costs[-1]
+        # the budget is the number of edges left to tie the opponent
+        lose, tie, win = table.cases(self.opponent_length - steps_taken - 1)
+        best = scale * lose
+        if tie is not None:
+            best = min(best, scale * tie - self.tie)
+        if win is not None:
+            best = min(best, scale * win - self.win)
+        return biased_edge + best
+
+    def step(self, state: TraversalState, reference_next: str | None) -> TraversalStep:
+        scored = [(e.head, self(state.steps_taken, e.cost, e.head))
+                  for e in self.graph.successors(state.vertex)]
+        if not scored:
+            raise ValueError(f"vertex {state.vertex} has no successor")
+        chosen, best = min(scored, key=itemgetter(1))
+        if reference_next is not None and (reference_next, best) in scored:
+            chosen = reference_next
+        unit = self.unit
+        alternatives = tuple((v, Fraction(cost, unit)) for v, cost in scored if v != chosen)
+        return TraversalStep(state.vertex, chosen, Fraction(best, unit), alternatives)
+
+
 def perceived_cost(
     graph: TaskGraph,
     state: TraversalState,
@@ -90,23 +143,9 @@ def perceived_cost(
     reward: Fraction = Fraction(0),
 ) -> Fraction:
     """Perceived cost of stepping to ``successor``, per the three-case reduction."""
-    reward = Fraction(reward)
-    if reward < 0:
-        raise ValueError("reward must be nonnegative")
-    biased_edge = config.bias * graph.edge_cost(state.vertex, successor)
-    table = graph.hop_table(successor)
-    best_any = table.cost_any()
-    if opponent_length is None:
-        return biased_edge + best_any
-    budget = opponent_length - state.steps_taken - 1  # edges left to tie the opponent
-    candidates = [best_any]
-    tie_cost = table.cost_at_most(budget)
-    if tie_cost is not None:
-        candidates.append(tie_cost - config.reward_tie.share * reward)
-    win_cost = table.cost_fewer(budget)
-    if win_cost is not None:
-        candidates.append(win_cost - reward)
-    return biased_edge + min(candidates)
+    perceive = _Perceiver(graph, config, opponent_length, reward)
+    cost = graph.edge_cost(state.vertex, successor)
+    return Fraction(perceive(state.steps_taken, cost, successor), perceive.unit)
 
 
 def step(
@@ -122,17 +161,7 @@ def step(
     Ties prefer ``reference_next`` when given (the agent stays on a path it is
     being tested against), otherwise the earliest vertex in graph order.
     """
-    scored = [
-        (e.head, perceived_cost(graph, state, e.head, config, opponent_length, reward))
-        for e in graph.successors(state.vertex)
-    ]
-    if not scored:
-        raise ValueError(f"vertex {state.vertex} has no successor")
-    chosen, best = min(scored, key=itemgetter(1))
-    if reference_next is not None and (reference_next, best) in scored:
-        chosen = reference_next
-    alternatives = tuple((v, cost) for v, cost in scored if v != chosen)
-    return TraversalStep(state.vertex, chosen, best, alternatives)
+    return _Perceiver(graph, config, opponent_length, reward).step(state, reference_next)
 
 
 def traverse(
@@ -145,6 +174,7 @@ def traverse(
     """Walk from source to sink, re-deciding with fresh bias at every vertex."""
     if opponent is not None and opponent < 1:
         raise ValueError("opponent length must be at least 1")
+    perceive = _Perceiver(graph, config, opponent, reward)
     prefix = [graph.source]
     log: list[TraversalStep] = []
     on_reference = reference is not None
@@ -155,7 +185,7 @@ def traverse(
         ref_next = None
         if on_reference and len(prefix) < len(reference.vertices):
             ref_next = reference.vertices[len(prefix)]
-        taken = step(graph, state, config, opponent, reward, ref_next)
+        taken = perceive.step(state, ref_next)
         log.append(taken)
         if on_reference and taken.chose != ref_next:
             on_reference = False

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .agents import AgentConfig, RewardTie, traverse
@@ -79,6 +80,7 @@ def _solution_payload(solution: FanBneSolution) -> dict:
     }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="biasgraph")
     sub = parser.add_subparsers(dest="command", required=True)

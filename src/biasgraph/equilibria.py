@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from .agents import AgentConfig, RewardTie, TraversalTrace, traverse
@@ -83,11 +82,11 @@ def nondominated_ladder(graph: TaskGraph, reward: Fraction) -> NondominatedLadde
     if reward < 0:
         raise ValueError("reward must be nonnegative")
     table = graph.hop_table(graph.source)
-    cheapest = table.cost_any()
+    cheapest = table.costs[-1]
     paths = tuple(
-        first_path(graph, length, cost, lambda v, k: graph.hop_table(v).cost_at_most(k))
+        first_path(graph, length, cost, lambda v, k: graph.hop_table(v).at_most(k))
         for length, cost in zip(table.lengths, table.costs)
-        if cost < cheapest + reward or cost == cheapest
+        if cost - cheapest < reward * graph.unit or cost == cheapest
     )
     return NondominatedLadder(paths, reward)
 
@@ -182,34 +181,27 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
 # (A, B).  The feasible set is [0, inf) minus the union of all gaps, found by
 # one sort and one left-to-right sweep.
 #
-# The arithmetic is on integers.  Every cost is a sum of edge costs, so scaled
-# by unit = bias.denominator * lcm(edge-cost denominators) it is an integer,
-# and so is the scaled margin.  Slopes are kept in halves (0, -1, -2), so every
-# root and crossing is an integer count of 1/unit; only the returned endpoints
-# become Fractions.
+# The arithmetic is on integers.  The hop tables count costs in 1/graph.unit;
+# scaled by unit = bias.denominator * graph.unit every cost and margin is an
+# integer.  Slopes are kept in halves (0, -1, -2), so every root and crossing
+# is an integer count of 1/unit; only the returned endpoints become Fractions.
 
 
 def _scale(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, int]:
     """The validated bias, and the unit: costs and rewards are counted in 1/unit."""
     _require_full_path(graph, q)
     bias = AgentConfig(bias).bias
-    return bias, bias.denominator * lcm(*{e.cost.denominator for e in graph.edges})
+    return bias, bias.denominator * graph.unit
 
 
-def _scaled(cost: Fraction, unit: int) -> int:
-    return cost.numerator * (unit // cost.denominator)
-
-
-def _case_lines(graph: TaskGraph, v: str, budget: int, unit: int) -> list[tuple[int, int]]:
+def _case_lines(graph: TaskGraph, v: str, budget: int, bias: Fraction) -> list[tuple[int, int]]:
     """(intercept, half-slope) lines whose lower envelope is the continuation value."""
-    table = graph.hop_table(v)
-    lines = [(_scaled(table.cost_any(), unit), 0)]
-    tie_cost = table.cost_at_most(budget)
-    if tie_cost is not None:
-        lines.append((_scaled(tie_cost, unit), -1))
-    win_cost = table.cost_fewer(budget)
-    if win_cost is not None:
-        lines.append((_scaled(win_cost, unit), -2))
+    lose, tie, win = graph.hop_table(v).cases(budget)
+    lines = [(lose * bias.denominator, 0)]
+    if tie is not None:
+        lines.append((tie * bias.denominator, -1))
+    if win is not None:
+        lines.append((win * bias.denominator, -2))
     return lines
 
 
@@ -225,18 +217,18 @@ def _crossings(lines: list[tuple[int, int]]) -> set[int]:
     return points
 
 
-def _deviations(graph: TaskGraph, q: PathRecord, bias: Fraction, unit: int):
+def _deviations(graph: TaskGraph, q: PathRecord, bias: Fraction):
     """(stay_lines, dev_lines, margin) for every edge (u, v) of q and every
     deviation (u, v'), where margin is bias * (c(u, v) - c(u, v')) * unit."""
     budget = q.length
     for u, v in zip(q.vertices, q.vertices[1:]):
         budget -= 1
-        stay_lines = _case_lines(graph, v, budget, unit)
-        stay_edge_cost = _scaled(graph.edge_cost(u, v), unit)
+        stay_lines = _case_lines(graph, v, budget, bias)
+        stay_edge_cost = graph.units(graph.edge_cost(u, v))
         for e in graph.successors(u):
             if e.head != v:
-                margin = bias.numerator * (stay_edge_cost - _scaled(e.cost, unit)) // bias.denominator
-                yield stay_lines, _case_lines(graph, e.head, budget, unit), margin
+                margin = bias.numerator * (stay_edge_cost - graph.units(e.cost))
+                yield stay_lines, _case_lines(graph, e.head, budget, bias), margin
 
 
 def _gaps(stay_lines: list[tuple[int, int]], dev_lines: list[tuple[int, int]], margin: int):
@@ -281,7 +273,7 @@ def feasible_rewards(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Interva
     """
     bias, unit = _scale(graph, q, bias)
     gaps: list[tuple[int, int | None]] = []
-    for stay_lines, dev_lines, margin in _deviations(graph, q, bias, unit):
+    for stay_lines, dev_lines, margin in _deviations(graph, q, bias):
         for gap in _gaps(stay_lines, dev_lines, margin):
             if gap == (-1, None):  # excludes every reward
                 return IntervalSet.empty()
@@ -302,7 +294,7 @@ def algorithm_breakpoints(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tu
     lines of every deviation, and the feasible set's endpoints, sorted."""
     bias, unit = _scale(graph, q, bias)
     points, gaps, seen = {0}, [], None
-    for stay_lines, dev_lines, margin in _deviations(graph, q, bias, unit):
+    for stay_lines, dev_lines, margin in _deviations(graph, q, bias):
         if stay_lines is not seen:  # one list per on-path edge
             seen = stay_lines
             points |= _crossings(stay_lines)

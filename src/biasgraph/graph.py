@@ -3,6 +3,8 @@
 A task graph is a weighted DAG with a designated source and sink.  All costs
 are exact rationals (``fractions.Fraction``) parsed from strings such as
 ``"2"``, ``"0.5"`` or ``"3/2"``, so every comparison downstream is bit-exact.
+Internally every path cost is an integer count of 1/``unit``, the lcm of the
+edge-cost denominators; public functions return ``Fraction``s.
 Vertices carry a stable total order (their position in the input list); all
 tie-breaking between equal-cost alternatives is lexicographic in that order.
 """
@@ -10,20 +12,34 @@ tie-breaking between equal-cost alternatives is lexicographic in that order.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import CycleDetected, NegativeCost, NoSourceSinkPath
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def parse_cost(value: str | int | float | Fraction) -> Fraction:
-    """Parse an edge cost exactly; raises NegativeCost for negative values."""
+    """Parse an edge cost exactly; raises NegativeCost for negative values.
+
+    A decimal exponent beyond the interpreter's integer string limit
+    (``sys.get_int_max_str_digits``) is refused before the integer is built.
+    """
     if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise ValueError(f"cost {value!r} must be a string or integer")
+    if isinstance(value, str):
+        exponent, limit = _EXPONENT.search(value), sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"cost {value!r} has a decimal exponent beyond {limit}")
     cost = Fraction(value)
     if cost < 0:
         raise NegativeCost(f"negative edge cost {cost}")
@@ -50,10 +66,8 @@ class PathRecord:
         seq = tuple(seq)
         if len(seq) < 2:
             raise ValueError("a path needs at least one edge")
-        cost = Fraction(0)
-        for u, v in zip(seq, seq[1:]):
-            cost += graph.edge_cost(u, v)
-        return cls(seq, cost, len(seq) - 1)
+        cost = sum(graph.units(graph.edge_cost(u, v)) for u, v in zip(seq, seq[1:]))
+        return cls(seq, Fraction(cost, graph.unit), len(seq) - 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,18 +83,29 @@ class HopCostTable:
 
     Stored as the non-dominated (length, cost) staircase of v->t paths:
     ``lengths`` strictly rise and ``costs`` strictly fall, so the cheapest
-    path within k edges is the last step at or below length k.
+    path within k edges is the last step at or below length k.  ``costs`` are
+    integer counts of 1/``unit``; the ``cost_*`` methods return Fractions.
     """
 
     lengths: tuple[int, ...]
-    costs: tuple[Fraction, ...]
+    costs: tuple[int, ...]
+    unit: int
 
-    def cost_any(self) -> Fraction:
-        return self.costs[-1]
-
-    def cost_at_most(self, k: int) -> Fraction | None:
+    def at_most(self, k: int) -> int | None:
         i = bisect_right(self.lengths, k)
         return self.costs[i - 1] if i else None
+
+    def cases(self, budget: int) -> tuple[int, int | None, int | None]:
+        """Cheapest costs over any length, at most ``budget`` and fewer than
+        ``budget`` edges, in 1/unit: the lose, tie and win continuations."""
+        return self.costs[-1], self.at_most(budget), self.at_most(budget - 1)
+
+    def cost_any(self) -> Fraction:
+        return Fraction(self.costs[-1], self.unit)
+
+    def cost_at_most(self, k: int) -> Fraction | None:
+        cost = self.at_most(k)
+        return None if cost is None else Fraction(cost, self.unit)
 
     def cost_fewer(self, k: int) -> Fraction | None:
         return self.cost_at_most(k - 1)
@@ -115,6 +140,15 @@ class TaskGraph:
     def edge_costs(self) -> dict[tuple[str, str], Fraction]:
         return {(e.tail, e.head): e.cost for e in self.edges}
 
+    @cached_property
+    def unit(self) -> int:
+        """The lcm of the edge-cost denominators: every path cost is a whole number of 1/unit."""
+        return lcm(*{e.cost.denominator for e in self.edges})
+
+    def units(self, cost: Fraction) -> int:
+        """An edge cost, or a sum of them, as an integer count of 1/unit."""
+        return cost.numerator * (self.unit // cost.denominator)
+
     def successors(self, v: str) -> tuple[Edge, ...]:
         return self.adjacency[v]
 
@@ -147,19 +181,25 @@ class TaskGraph:
     def hop_tables(self) -> dict[str, HopCostTable]:
         """Per-vertex staircases, each merged from its successors' staircases
         shifted by one edge (bicriteria label setting, Hansen 1980)."""
-        tables: dict[str, HopCostTable] = {}
+        unit = self.unit
+        tables = {self.sink: HopCostTable((0,), (0,), unit)}
         for v in reversed(self.topo_order):
-            points = [(0, Fraction(0))] if v == self.sink else sorted(
-                (length + 1, e.cost + cost)
-                for e in self.adjacency[v]
-                for length, cost in zip(tables[e.head].lengths, tables[e.head].costs)
-            )
-            steps: list[tuple[int, Fraction]] = []
-            for point in points:
-                if not steps or point[1] < steps[-1][1]:
-                    steps.append(point)
-            lengths, costs = zip(*steps)
-            tables[v] = HopCostTable(lengths, costs)
+            if v == self.sink:
+                continue
+            best: dict[int, int] = {}  # successor's length -> cheapest cost through v
+            for e in self.adjacency[v]:
+                edge = self.units(e.cost)
+                head = tables[e.head]
+                for length, cost in zip(head.lengths, head.costs):
+                    cost += edge
+                    if cost < best.get(length, cost + 1):
+                        best[length] = cost
+            lengths, costs = [], []
+            for length in sorted(best):
+                if not costs or best[length] < costs[-1]:
+                    lengths.append(length + 1)
+                    costs.append(best[length])
+            tables[v] = HopCostTable(tuple(lengths), tuple(costs), unit)
         return tables
 
     def hop_table(self, v: str) -> HopCostTable:
@@ -212,6 +252,7 @@ def validate(data: Mapping) -> TaskGraph:
         raise NoSourceSinkPath("source equals sink")
 
     best: dict[tuple[str, str], Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # each distinct cost string is parsed once
     for item in raw_edges:
         try:
             tail, head = item["from"], item["to"]
@@ -221,7 +262,13 @@ def validate(data: Mapping) -> TaskGraph:
             raise ValueError(f"edge {tail}->{head} uses unknown vertex")
         if tail == head:
             raise CycleDetected(f"self loop at {tail}")
-        cost = parse_cost(item["cost"])
+        raw = item["cost"]
+        if isinstance(raw, str):
+            cost = parsed.get(raw)
+            if cost is None:
+                cost = parsed[raw] = parse_cost(raw)
+        else:
+            cost = parse_cost(raw)
         key = (tail, head)
         if key not in best or cost < best[key]:
             best[key] = cost
@@ -277,24 +324,25 @@ def hop_bounded_cheapest(graph: TaskGraph, v: str, k: int | None = None) -> Frac
     return table.cost_at_most(k)
 
 
-def first_path(graph: TaskGraph, length: int, cost: Fraction, suffix_cost) -> PathRecord:
+def first_path(graph: TaskGraph, length: int, cost: int, suffix_cost) -> PathRecord:
     """The first source->sink path in vertex order with ``length`` edges and ``cost``.
 
     ``suffix_cost(v, k)`` is the cheapest v->sink cost over paths of exactly k
-    edges, or of at most k edges when no quicker path costs as little.
+    edges, or of at most k edges when no quicker path costs as little.  Both
+    costs are in 1/``graph.unit``.
     """
     seq = [graph.source]
     remaining, budget = cost, length
     while seq[-1] != graph.sink:
         for e in graph.successors(seq[-1]):
             rest = suffix_cost(e.head, budget - 1)
-            if rest is not None and e.cost + rest == remaining:
+            if rest is not None and graph.units(e.cost) + rest == remaining:
                 seq.append(e.head)
                 remaining, budget = rest, budget - 1
                 break
         else:  # pragma: no cover - the tables guarantee a witness
             raise AssertionError("no witness for the requested length and cost")
-    return PathRecord(tuple(seq), cost, length)
+    return PathRecord(tuple(seq), Fraction(cost, graph.unit), length)
 
 
 def cheapest_per_length(graph: TaskGraph) -> dict[int, PathRecord]:
@@ -304,12 +352,13 @@ def cheapest_per_length(graph: TaskGraph) -> dict[int, PathRecord]:
     graph's vertex order.  Unlike the hop tables this keeps dominated lengths,
     so it runs its own exact-length DP over the lengths each vertex can reach.
     """
-    exact: dict[str, dict[int, Fraction]] = {graph.sink: {0: Fraction(0)}}
+    exact: dict[str, dict[int, int]] = {graph.sink: {0: 0}}
     for v in reversed(graph.topo_order):
         row = exact.setdefault(v, {})
         for e in graph.adjacency[v]:
+            edge = graph.units(e.cost)
             for length, cost in exact[e.head].items():
-                cand = e.cost + cost
+                cand = edge + cost
                 if length + 1 not in row or cand < row[length + 1]:
                     row[length + 1] = cand
     return {

@@ -15,7 +15,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,9 +60,17 @@ def enumerate_paths(graph: TaskGraph, start: str | None = None) -> list[PathReco
     return paths
 
 
-@lru_cache(maxsize=256)
+# id(graph) -> (graph, minima), at most _MINIMA_CACHED entries, oldest first.
+# Keyed by identity: hashing a TaskGraph hashes every vertex and edge.
+_minima: dict[int, tuple[TaskGraph, dict]] = {}
+_MINIMA_CACHED = 256
+
+
 def _continuation_minima(graph: TaskGraph) -> dict[str, tuple[tuple[int, Fraction], ...]]:
     """Per vertex: (length, cheapest cost) over enumerated sink continuations."""
+    hit = _minima.get(id(graph))
+    if hit is not None and hit[0] is graph:
+        return hit[1]
     table: dict[str, tuple[tuple[int, Fraction], ...]] = {}
     for v in graph.vertices:
         if v == graph.sink:
@@ -74,6 +81,9 @@ def _continuation_minima(graph: TaskGraph) -> dict[str, tuple[tuple[int, Fractio
             if p.length not in best or p.cost < best[p.length]:
                 best[p.length] = p.cost
         table[v] = tuple(sorted(best.items()))
+    _minima[id(graph)] = (graph, table)
+    if len(_minima) > _MINIMA_CACHED:
+        del _minima[next(iter(_minima))]
     return table
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from biasgraph import AgentConfig, FanSpec, TaskGraph, TraversalState, make_fan, make_named_instance, validate
+from biasgraph.oracle import random_layered_graph
 
 
 def build_graph(edges, source="s", sink="t", vertices=None) -> TaskGraph:
@@ -21,6 +23,57 @@ def build_graph(edges, source="s", sink="t", vertices=None) -> TaskGraph:
         "source": source,
         "sink": sink,
     })
+
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def coprime_graph(rng) -> TaskGraph:
+    """A random layered graph whose edge i costs n / (p_i * p_{i+7}) over the
+    odd primes up to 47, so seven edges carry every prime as a denominator."""
+    base = random_layered_graph(rng, min_interior=2)
+    edges = []
+    for i, e in enumerate(base.edges):
+        d = PRIMES[i % 7] * PRIMES[i % 7 + 7]
+        n = int(rng.integers(1, 3 * d))
+        while gcd(n, d) != 1:
+            n += 1
+        edges.append({"from": e.tail, "to": e.head, "cost": f"{n}/{d}"})
+    return validate({"vertices": list(base.vertices), "edges": edges,
+                     "source": base.source, "sink": base.sink})
+
+
+def with_twin(graph: TaskGraph, rng) -> TaskGraph:
+    """The graph plus a copy w' of one interior vertex w, with w's edges and
+    costs, listed right after w: every predecessor of w perceives w and w'
+    alike, so its choice between them is a tie."""
+    interior = [v for v in graph.vertices if v not in (graph.source, graph.sink)]
+    w = interior[int(rng.integers(0, len(interior)))]
+    data = graph.to_json_dict()
+    data["vertices"].insert(data["vertices"].index(w) + 1, w + "'")
+    data["edges"] += [{**e, "from": w + "'"} for e in data["edges"] if e["from"] == w]
+    data["edges"] += [{**e, "to": w + "'"} for e in data["edges"] if e["to"] == w]
+    return validate(data)
+
+
+def reference_staircases(graph: TaskGraph) -> dict[str, list[tuple[int, Fraction]]]:
+    """Per vertex, the (length, cost) staircase by a plain Fraction DP: the
+    cheapest cost of each exact length, then the lengths whose cost is below
+    every shorter length's."""
+    exact: dict[str, dict[int, Fraction]] = {graph.sink: {0: Fraction(0)}}
+    for v in reversed(graph.topo_order):
+        row = exact.setdefault(v, {})
+        for e in graph.successors(v):
+            for length, cost in exact[e.head].items():
+                if length + 1 not in row or e.cost + cost < row[length + 1]:
+                    row[length + 1] = e.cost + cost
+    stairs = {}
+    for v, row in exact.items():
+        stairs[v] = []
+        for length in sorted(row):
+            if not stairs[v] or row[length] < stairs[v][-1][1]:
+                stairs[v].append((length, row[length]))
+    return stairs
 
 
 def at(graph: TaskGraph, *prefix: str) -> TraversalState:

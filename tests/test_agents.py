@@ -2,22 +2,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasgraph import (
     AgentConfig,
     RewardTie,
+    TraversalState,
     ZeroOptimalCost,
     cost_ratio,
     fan_path,
     make_fan,
     FanSpec,
+    PathRecord,
     perceived_cost,
     step,
     traverse,
 )
-from biasgraph.oracle import random_layered_graph
+from biasgraph.oracle import enumerate_paths, random_layered_graph
 
-from conftest import at, build_graph
+from conftest import at, build_graph, coprime_graph, reference_staircases, with_twin
 
 F = Fraction
 
@@ -171,3 +175,81 @@ class TestCostRatio:
         graph = build_graph([("s", "t", 0)])
         with pytest.raises(ZeroOptimalCost):
             cost_ratio(graph, AgentConfig(F(2)))
+
+
+# The three-case perceived cost written out in Fraction arithmetic over the
+# reference staircases: the reference the integer kernel must reproduce.
+
+def reference_perceived(graph, stairs, u, steps_taken, v, config, opponent, reward):
+    def within(k):
+        costs = [cost for length, cost in stairs[v] if k is None or length <= k]
+        return min(costs) if costs else None
+
+    best = within(None)  # lose, or no opponent
+    if opponent is not None:
+        budget = opponent - steps_taken - 1
+        tie, win = within(budget), within(budget - 1)
+        if tie is not None:
+            best = min(best, tie - config.reward_tie.share * reward)
+        if win is not None:
+            best = min(best, win - reward)
+    return config.bias * graph.edge_cost(u, v) + best
+
+
+def reference_walk(graph, stairs, config, opponent, reward, reference):
+    """(at, chose, perceived, alternatives) per step of the literal walk."""
+    prefix, log = [graph.source], []
+    on_reference = reference is not None
+    while prefix[-1] != graph.sink:
+        u = prefix[-1]
+        ref_next = None
+        if on_reference and len(prefix) < len(reference.vertices):
+            ref_next = reference.vertices[len(prefix)]
+        scored = [(e.head, reference_perceived(graph, stairs, u, len(prefix) - 1, e.head,
+                                               config, opponent, reward))
+                  for e in graph.successors(u)]
+        best = min(cost for _, cost in scored)
+        tied = [v for v, cost in scored if cost == best]
+        chosen = ref_next if ref_next in tied else tied[0]
+        log.append((u, chosen, best, tuple((v, c) for v, c in scored if v != chosen)))
+        on_reference = on_reference and chosen == ref_next
+        prefix.append(chosen)
+    return log
+
+
+class TestIntegerKernel:
+    """Edge costs n / (p_i * p_(i+7)), biases 7/3 and 13/6 and rewards 1/3 and
+    5/7 make the integer unit carry every kind of denominator; a twin vertex
+    makes ties that the reference successor or the vertex order must break."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bias=st.sampled_from((F(7, 3), F(13, 6))),
+           reward=st.sampled_from((F(1, 3), F(5, 7))), tie_rule=st.sampled_from(tuple(RewardTie)))
+    def test_matches_fraction_three_case_formula(self, seed, bias, reward, tie_rule):
+        rng = np.random.default_rng(seed)
+        graph = with_twin(coprime_graph(rng), rng)
+        stairs = reference_staircases(graph)
+        config = AgentConfig(bias, tie_rule)
+        for e in graph.edges:
+            for steps_taken in range(3):
+                for opponent in (None, 1, 2, 3, 4):
+                    state = TraversalState(e.tail, steps_taken)
+                    assert perceived_cost(graph, state, e.head, config, opponent, reward) == \
+                        reference_perceived(graph, stairs, e.tail, steps_taken, e.head, config,
+                                            opponent, reward)
+        for reference in [None, *enumerate_paths(graph)]:
+            for opponent in (None, 1, 2, 3, 4):
+                trace = traverse(graph, config, opponent, reward, reference)
+                assert [(s.at, s.chose, s.perceived, s.alternatives) for s in trace.steps] == \
+                    reference_walk(graph, stairs, config, opponent, reward, reference)
+
+    def test_twin_tie_follows_the_reference(self):
+        graph = with_twin(build_graph([("s", "a", 1), ("a", "t", 1), ("s", "t", 3)]),
+                          np.random.default_rng(0))
+        assert graph.vertices == ("s", "a", "a'", "t")
+        config = AgentConfig(F(7, 3))
+        for opponent in (None, 2):
+            assert traverse(graph, config, opponent, F(1, 3)).path.vertices == ("s", "a", "t")
+            twin = traverse(graph, config, opponent, F(1, 3),
+                            reference=PathRecord.from_vertices(graph, ("s", "a'", "t")))
+            assert twin.path.vertices == ("s", "a'", "t")

@@ -121,6 +121,21 @@ def test_cost_ratio_zero_cost_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+def test_huge_cost_exponent_exits_2(capsys, tmp_path):
+    graph_file = tmp_path / "huge.json"
+    graph_file.write_text(json.dumps({
+        "vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": "1e4000000"}],
+        "source": "s", "sink": "t",
+    }))
+    code, out = invoke(capsys, "validate", "--graph", str(graph_file))
+    assert code == 2
+    assert out == ""
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_ne_check_fan_shorthand(capsys, tmp_path):
     fan = write_fan(tmp_path)
     code, out = invoke(capsys, "ne-check", "--graph", fan, "--path", "P0",

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from biasgraph import (
     make_named_instance,
     min_reward_for_ne,
     nondominated_ladder,
-    validate,
 )
 from biasgraph.oracle import (
     best_response_table,
@@ -36,7 +35,7 @@ from biasgraph.oracle import (
     random_layered_graph,
 )
 
-from conftest import build_graph, spine_graph
+from conftest import build_graph, coprime_graph, spine_graph
 
 F = Fraction
 
@@ -398,24 +397,6 @@ def reference_feasible_rewards(graph, q, bias):
                     _ref_half_line(a_d - a_s - margin, s_d - s_s) for a_s, s_s in stay_lines
                 ))
     return result
-
-
-PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def coprime_graph(rng):
-    """A random layered graph whose edge i costs n / (p_i * p_{i+7}) over the
-    odd primes up to 47, so seven edges carry every prime as a denominator."""
-    base = random_layered_graph(rng, min_interior=2)
-    edges = []
-    for i, e in enumerate(base.edges):
-        d = PRIMES[i % 7] * PRIMES[i % 7 + 7]
-        n = int(rng.integers(1, 3 * d))
-        while gcd(n, d) != 1:
-            n += 1
-        edges.append({"from": e.tail, "to": e.head, "cost": f"{n}/{d}"})
-    return validate({"vertices": list(base.vertices), "edges": edges,
-                     "source": base.source, "sink": base.sink})
 
 
 def two_interval_graph():

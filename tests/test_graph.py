@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasgraph import (
     CycleDetected,
@@ -9,6 +12,7 @@ from biasgraph import (
     NegativeCost,
     NoSourceSinkPath,
     PathRecord,
+    TaskGraph,
     UnknownInstance,
     cheapest_per_length,
     hop_bounded_cheapest,
@@ -17,9 +21,10 @@ from biasgraph import (
     make_named_instance,
     validate,
 )
+from biasgraph.graph import parse_cost
 from biasgraph.oracle import enumerate_paths, random_layered_graph
 
-from conftest import build_graph
+from conftest import build_graph, coprime_graph, reference_staircases
 
 
 class TestValidate:
@@ -85,6 +90,22 @@ class TestValidate:
         )
         assert g.edge_cost("s", "t") == Fraction(1, 10)
 
+    def test_huge_decimal_exponent_refused_before_the_integer_is_built(self):
+        # Fraction("1e1000000") first builds a million-digit integer
+        for text in ("1e1000000", "1E-1000000", " 3.5e+1000000 "):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_cost(text)
+        with pytest.raises(ValueError):
+            build_graph([("s", "t", "2e1000000")])
+        assert parse_cost("25e-1") == Fraction(5, 2)
+        assert parse_cost("1e300") == 10**300
+
+    def test_unit_is_the_lcm_of_cost_denominators(self):
+        g = build_graph([("s", "a", Fraction(1, 6)), ("a", "t", Fraction(3, 4)), ("s", "t", 2)])
+        assert g.unit == 12
+        assert g.hop_table("s").costs == (24, 11)  # 2 and 1/6 + 3/4 in twelfths
+        assert build_graph([("s", "t", 5)]).unit == 1
+
 
 class TestHopBoundedCheapest:
     def test_fig1_source_unbounded(self, fig1):
@@ -133,6 +154,26 @@ class TestHopBoundedCheapest:
                 assert len(table.lengths) == len(table.costs) >= 1
                 assert all(a < b for a, b in zip(table.lengths, table.lengths[1:]))
                 assert all(a > b for a, b in zip(table.costs, table.costs[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), coprime=st.booleans())
+    def test_integer_staircases_match_fraction_dp(self, seed, coprime):
+        rng = np.random.default_rng(seed)
+        graph = coprime_graph(rng) if coprime else random_layered_graph(rng, max_vertices=12)
+        assert graph.unit == lcm(*{e.cost.denominator for e in graph.edges})
+        stairs = reference_staircases(graph)
+        for v in graph.vertices:
+            table = graph.hop_table(v)
+            assert all(type(cost) is int for cost in table.costs)
+            assert [(k, Fraction(c, table.unit)) for k, c in zip(table.lengths, table.costs)] \
+                == stairs[v]
+
+    def test_rebuilt_graph_has_equal_tables_and_unit(self):
+        rng = np.random.default_rng(5)
+        for graph in [coprime_graph(rng) for _ in range(10)]:
+            copy = TaskGraph(graph.vertices, graph.edges, graph.source, graph.sink, graph.pruned)
+            assert copy.unit == graph.unit
+            assert copy.hop_tables == graph.hop_tables
 
     def test_matches_enumeration_on_random_graphs(self):
         rng = np.random.default_rng(11)

@@ -17,8 +17,10 @@ from biasgraph import (
     make_fan,
     make_named_instance,
     perceived_cost,
+    validate,
     AgentConfig,
 )
+from biasgraph import oracle
 from biasgraph.oracle import (
     brute_perceived_min,
     brute_traverse,
@@ -91,6 +93,22 @@ class TestBrutePerceivedMin:
         _, graph = fan5
         got = brute_perceived_min(graph, at(graph, "s"), "t", F(2), 1, F(1))
         assert got == F(3, 2)
+
+
+class TestContinuationMinima:
+    def test_keyed_by_identity_and_bounded(self):
+        rng = np.random.default_rng(3)
+        graph = random_layered_graph(rng)
+        twin = validate(graph.to_json_dict())
+        assert twin == graph and twin is not graph
+        minima = oracle._continuation_minima(graph)
+        assert oracle._continuation_minima(graph) is minima
+        assert oracle._continuation_minima(twin) == minima
+        assert oracle._continuation_minima(twin) is not minima
+        for _ in range(oracle._MINIMA_CACHED + 10):
+            oracle._continuation_minima(random_layered_graph(rng, max_vertices=4))
+        assert len(oracle._minima) == oracle._MINIMA_CACHED
+        assert all(key == id(g) for key, (g, _) in oracle._minima.items())
 
 
 class TestRewardSweep:
