@@ -48,7 +48,6 @@ from .equilibria import (
     dominant_path_reward,
     fan_ne_thresholds,
     feasible_rewards,
-    min_reward_for_ne,
     nondominated_ladder,
 )
 from .errors import (
@@ -69,7 +68,6 @@ from .graph import (
     PathRecord,
     TaskGraph,
     cheapest_per_length,
-    hop_bounded_cheapest,
     load_graph,
     validate,
 )

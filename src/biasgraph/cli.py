@@ -24,7 +24,7 @@ from .bne import (
 )
 from .equilibria import check_symmetric_ne, classify_unbiased, feasible_rewards
 from .errors import BiasGraphError, ZeroOptimalCost
-from .graph import TaskGraph, load_graph
+from .graph import TaskGraph, load_graph, parse_rational
 from .instances import FanSpec, make_fan, make_named_instance, resolve_path
 
 EXIT_OK = 0
@@ -54,17 +54,25 @@ def _read_graph(path: str) -> TaskGraph:
     return load_graph(Path(path).read_text())
 
 
+def _rational(text: str) -> Fraction:
+    """The argparse type of every rational option, keeping parse_rational's message."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _dist_from_args(args) -> BiasDistribution:
-    lower = float(Fraction(args.c))
+    lower = float(args.c)
     if args.dist == "equal-revenue":
         return BiasDistribution.equal_revenue(lower)
     if args.dist == "uniform":
         if args.d is None:
             raise ValueError("uniform distribution needs --d")
-        return BiasDistribution.uniform(lower, float(Fraction(args.d)))
+        return BiasDistribution.uniform(lower, float(args.d))
     if args.rate is None:
         raise ValueError("exponential distribution needs --rate")
-    return BiasDistribution.shifted_exponential(lower, float(Fraction(args.rate)))
+    return BiasDistribution.shifted_exponential(lower, float(args.rate))
 
 
 def _solution_payload(solution: FanBneSolution) -> dict:
@@ -92,63 +100,67 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_sub = p.add_subparsers(dest="generator", required=True)
     g = gen_sub.add_parser("fan")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--c", required=True)
+    g.add_argument("--c", type=_rational, required=True)
     for name in ("fig1", "fig7a", "fig7b"):
         gen_sub.add_parser(name)
     g = gen_sub.add_parser("mod3fan")
-    g.add_argument("--c", required=True)
-    g.add_argument("--c2", required=True)
-    g.add_argument("--c3", required=True)
+    g.add_argument("--c", type=_rational, required=True)
+    g.add_argument("--c2", type=_rational, required=True)
+    g.add_argument("--c3", type=_rational, required=True)
 
     p = sub.add_parser("simulate", help="trace a naive biased traversal")
     p.add_argument("--graph", required=True)
-    p.add_argument("--bias", required=True)
-    p.add_argument("--reward", default="0")
+    p.add_argument("--bias", type=_rational, required=True)
+    p.add_argument("--reward", type=_rational, default="0")
     p.add_argument("--opponent-length", type=int, default=None)
     p.add_argument("--opponent-path", default=None)
     p.add_argument("--tie", choices=[t.value for t in RewardTie], default="split")
 
     p = sub.add_parser("cost-ratio", help="biased over optimal traversal cost")
     p.add_argument("--graph", required=True)
-    p.add_argument("--bias", required=True)
+    p.add_argument("--bias", type=_rational, required=True)
 
     p = sub.add_parser("ne-check", help="is a path a symmetric equilibrium at a reward")
     p.add_argument("--graph", required=True)
     p.add_argument("--path", required=True)
-    p.add_argument("--bias", required=True)
-    p.add_argument("--reward", required=True)
+    p.add_argument("--bias", type=_rational, required=True)
+    p.add_argument("--reward", type=_rational, required=True)
 
-    p = sub.add_parser("min-reward", help="all rewards making a path an equilibrium")
+    p = sub.add_parser("min-reward",
+                       help="all rewards making a path an equilibrium (ties split the reward)")
     p.add_argument("--graph", required=True)
     p.add_argument("--path", required=True)
-    p.add_argument("--bias", required=True)
+    p.add_argument("--bias", type=_rational, required=True)
 
     p = sub.add_parser("unbiased-eq", help="classify unbiased pure equilibria")
     p.add_argument("--graph", required=True)
-    p.add_argument("--reward", required=True)
+    p.add_argument("--reward", type=_rational, required=True)
     p.add_argument("--tie", choices=[t.value for t in RewardTie], default="split")
 
     def add_bne_common(p):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--c", required=True)
+        p.add_argument("--c", type=_rational, required=True)
         p.add_argument("--dist", choices=["equal-revenue", "uniform", "exponential"], required=True)
-        p.add_argument("--d", default=None, help="upper bound for the uniform distribution")
-        p.add_argument("--rate", default=None, help="rate for the exponential distribution")
+        p.add_argument("--d", type=_rational, default=None,
+                       help="upper bound for the uniform distribution")
+        p.add_argument("--rate", type=_rational, default=None,
+                       help="rate for the exponential distribution")
 
     p = sub.add_parser("bne-fan", help="two-agent cutoff equilibrium on the fan")
     add_bne_common(p)
-    p.add_argument("--r", required=True)
+    p.add_argument("--r", type=_rational, required=True)
 
     p = sub.add_parser("bne-fan-multi", help="cutoff equilibrium with m competitors")
     add_bne_common(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", default=None)
-    p.add_argument("--per-agent-s", default=None, help="per-agent reward; total is (m+1)*s")
+    p.add_argument("--r", type=_rational, default=None)
+    p.add_argument("--per-agent-s", type=_rational, default=None,
+                   help="per-agent reward; total is (m+1)*s")
 
     p = sub.add_parser("bne-sweep", help="solve over a reward range")
     add_bne_common(p)
-    p.add_argument("--r-min", required=True)
-    p.add_argument("--r-max", required=True)
+    p.add_argument("--r-min", type=_rational, required=True)
+    p.add_argument("--r-max", type=_rational, required=True)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -172,7 +184,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.generator == "fan":
-        graph = make_fan(FanSpec(args.n, Fraction(args.c)))
+        graph = make_fan(FanSpec(args.n, args.c))
     elif args.generator == "mod3fan":
         graph, _ = make_named_instance("modified_3fan", args.c, args.c2, args.c3)
     else:
@@ -183,18 +195,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     graph = _read_graph(args.graph)
-    config = AgentConfig(Fraction(args.bias), RewardTie(args.tie))
+    config = AgentConfig(args.bias, RewardTie(args.tie))
     opponent = args.opponent_length
     if args.opponent_path is not None:
         opponent = resolve_path(graph, args.opponent_path).length
-    trace = traverse(graph, config, opponent=opponent, reward=Fraction(args.reward))
+    trace = traverse(graph, config, opponent=opponent, reward=args.reward)
     _emit(trace.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_cost_ratio(args) -> int:
     graph = _read_graph(args.graph)
-    config = AgentConfig(Fraction(args.bias))
+    config = AgentConfig(args.bias)
     optimal = graph.cheapest_cost(graph.source)
     if optimal == 0:
         raise ZeroOptimalCost("cheapest path costs zero")
@@ -211,7 +223,7 @@ def _cmd_cost_ratio(args) -> int:
 def _cmd_ne_check(args) -> int:
     graph = _read_graph(args.graph)
     q = resolve_path(graph, args.path)
-    result = check_symmetric_ne(graph, q, Fraction(args.reward), Fraction(args.bias))
+    result = check_symmetric_ne(graph, q, args.reward, args.bias)
     _emit({
         "is_equilibrium": result.is_equilibrium,
         "deviated_at": result.deviated_at,
@@ -223,7 +235,7 @@ def _cmd_ne_check(args) -> int:
 def _cmd_min_reward(args) -> int:
     graph = _read_graph(args.graph)
     q = resolve_path(graph, args.path)
-    feasible = feasible_rewards(graph, q, Fraction(args.bias))
+    feasible = feasible_rewards(graph, q, args.bias)
     minimum = feasible.min_point()
     _emit({
         "feasible": feasible.to_json_list(),
@@ -234,7 +246,7 @@ def _cmd_min_reward(args) -> int:
 
 def _cmd_unbiased_eq(args) -> int:
     graph = _read_graph(args.graph)
-    report = classify_unbiased(graph, Fraction(args.reward), RewardTie(args.tie))
+    report = classify_unbiased(graph, args.reward, RewardTie(args.tie))
     _emit({
         "ladder": [p.to_json_dict() for p in report.ladder.paths],
         "symmetric": [list(p.vertices) for p in report.symmetric],
@@ -246,29 +258,29 @@ def _cmd_unbiased_eq(args) -> int:
 
 
 def _cmd_bne_fan(args) -> int:
-    spec = FanSpec(args.n, Fraction(args.c))
-    solution = solve_fan_bne(spec, _dist_from_args(args), float(Fraction(args.r)))
+    spec = FanSpec(args.n, args.c)
+    solution = solve_fan_bne(spec, _dist_from_args(args), float(args.r))
     _emit(_solution_payload(solution))
     return EXIT_OK if solution.found else EXIT_EMPTY
 
 
 def _cmd_bne_fan_multi(args) -> int:
-    spec = FanSpec(args.n, Fraction(args.c))
+    spec = FanSpec(args.n, args.c)
     if (args.r is None) == (args.per_agent_s is None):
         raise ValueError("give exactly one of --r or --per-agent-s")
     if args.r is not None:
-        reward = float(Fraction(args.r))
+        reward = float(args.r)
     else:
-        reward = (args.m + 1) * float(Fraction(args.per_agent_s))
+        reward = (args.m + 1) * float(args.per_agent_s)
     solution = solve_fan_bne_multi(spec, _dist_from_args(args), reward, args.m)
     _emit(_solution_payload(solution))
     return EXIT_OK if solution.found else EXIT_EMPTY
 
 
 def _cmd_bne_sweep(args) -> int:
-    spec = FanSpec(args.n, Fraction(args.c))
+    spec = FanSpec(args.n, args.c)
     dist = _dist_from_args(args)
-    lo, hi = float(Fraction(args.r_min)), float(Fraction(args.r_max))
+    lo, hi = float(args.r_min), float(args.r_max)
     if args.steps < 2 or hi < lo:
         raise ValueError("need r-max >= r-min and at least two steps")
     rows = []

@@ -81,10 +81,10 @@ def nondominated_ladder(graph: TaskGraph, reward: Fraction) -> NondominatedLadde
     reward = Fraction(reward)
     if reward < 0:
         raise ValueError("reward must be nonnegative")
-    table = graph.hop_table(graph.source)
+    table = graph.hop_tables[graph.source]
     cheapest = table.costs[-1]
     paths = tuple(
-        first_path(graph, length, cost, lambda v, k: graph.hop_table(v).at_most(k))
+        first_path(graph, length, cost, lambda v, k: graph.hop_tables[v].at_most(k))
         for length, cost in zip(table.lengths, table.costs)
         if cost - cheapest < reward * graph.unit or cost == cheapest
     )
@@ -156,9 +156,9 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
 
     seq = [graph.source]
     while seq[-1] != graph.sink:
-        quickest = graph.hop_table(seq[-1]).lengths[0]
+        quickest = graph.hop_tables[seq[-1]].lengths[0]
         heads = [e.head for e in graph.successors(seq[-1])
-                 if graph.hop_table(e.head).lengths[0] == quickest - 1]
+                 if graph.hop_tables[e.head].lengths[0] == quickest - 1]
         if len(heads) > 1:
             raise NoDominantPath(f"two quickest paths part at {seq[-1]}")
         seq.append(heads[0])
@@ -173,13 +173,14 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
 #
 # Walking q with a decrementing hop budget, the perceived continuation value
 # from any vertex is the lower envelope of up to three lines in the reward r
-# (slopes 0, -1/2, -1 for the lose/tie/win cases).  Staying on the edge (u, v)
-# weakly beats the deviation (u, v') when every deviation line d lies at least
-# margin = bias * (c(u, v) - c(u, v')) above some stay line s.  For one pair
-# (d, s) this holds on a closed half-line of r >= 0, [0, root] or [root, inf),
-# so for one d it holds on [0, A] u [B, inf) and d excludes only the open gap
-# (A, B).  The feasible set is [0, inf) minus the union of all gaps, found by
-# one sort and one left-to-right sweep.
+# (slopes 0, -1/2, -1 for the lose/tie/win cases; the -1/2 assumes split
+# ties).  Staying on the edge (u, v) weakly beats the deviation (u, v') when
+# every deviation line d lies at least margin = bias * (c(u, v) - c(u, v'))
+# above some stay line s.  For one pair (d, s) this holds on a closed
+# half-line of r >= 0, [0, root] or [root, inf), so for one d it holds on
+# [0, A] u [B, inf) and d excludes only the open gap (A, B).  The feasible
+# set is [0, inf) minus the union of all gaps, found by one sort and one
+# left-to-right sweep.
 #
 # The arithmetic is on integers.  The hop tables count costs in 1/graph.unit;
 # scaled by unit = bias.denominator * graph.unit every cost and margin is an
@@ -196,7 +197,7 @@ def _scale(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, i
 
 def _case_lines(graph: TaskGraph, v: str, budget: int, bias: Fraction) -> list[tuple[int, int]]:
     """(intercept, half-slope) lines whose lower envelope is the continuation value."""
-    lose, tie, win = graph.hop_table(v).cases(budget)
+    lose, tie, win = graph.hop_tables[v].cases(budget)
     lines = [(lose * bias.denominator, 0)]
     if tie is not None:
         lines.append((tie * bias.denominator, -1))
@@ -270,6 +271,8 @@ def feasible_rewards(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Interva
 
     Removes from [0, inf), over every edge (u, v) of q and every deviation
     (u, v'), the rewards under which the agent strictly prefers deviating.
+    Assumes split ties (``RewardTie.SPLIT``: a tie pays r/2); under another
+    tie rule the answer can disagree with ``check_symmetric_ne``.
     """
     bias, unit = _scale(graph, q, bias)
     gaps: list[tuple[int, int | None]] = []
@@ -284,14 +287,12 @@ def feasible_rewards(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Interva
     ))
 
 
-def min_reward_for_ne(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Fraction | None:
-    """Smallest feasible reward for an equilibrium on q, or None if impossible."""
-    return feasible_rewards(graph, q, bias).min_point()
-
-
 def algorithm_breakpoints(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, ...]:
     """0, every positive crossing among the stay lines and among the deviation
-    lines of every deviation, and the feasible set's endpoints, sorted."""
+    lines of every deviation, and the feasible set's endpoints, sorted.
+
+    Like :func:`feasible_rewards`, assumes split ties (a tie pays r/2).
+    """
     bias, unit = _scale(graph, q, bias)
     points, gaps, seen = {0}, [], None
     for stay_lines, dev_lines, margin in _deviations(graph, q, bias):

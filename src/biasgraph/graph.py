@@ -28,19 +28,28 @@ from .errors import CycleDetected, NegativeCost, NoSourceSinkPath
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
-def parse_cost(value: str | int | float | Fraction) -> Fraction:
-    """Parse an edge cost exactly; raises NegativeCost for negative values.
+def parse_rational(value: str | int | Fraction) -> Fraction:
+    """Parse a rational exactly from a string, an integer or a Fraction.
 
     A decimal exponent beyond the interpreter's integer string limit
-    (``sys.get_int_max_str_digits``) is refused before the integer is built.
+    (``sys.get_int_max_str_digits``) is refused before the integer is built;
+    every malformed value, a zero denominator included, raises ValueError.
     """
     if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
-        raise ValueError(f"cost {value!r} must be a string or integer")
+        raise ValueError(f"{value!r} must be a string or integer")
     if isinstance(value, str):
         exponent, limit = _EXPONENT.search(value), sys.get_int_max_str_digits()
         if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ValueError(f"cost {value!r} has a decimal exponent beyond {limit}")
-    cost = Fraction(value)
+            raise ValueError(f"{value!r} has a decimal exponent beyond {limit}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
+
+
+def parse_cost(value: str | int | Fraction) -> Fraction:
+    """Parse an edge cost with :func:`parse_rational`; raises NegativeCost for negative values."""
+    cost = parse_rational(value)
     if cost < 0:
         raise NegativeCost(f"negative edge cost {cost}")
     return cost
@@ -79,17 +88,15 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class HopCostTable:
-    """Cheapest v->t costs under hop budgets: any, at most k, fewer than k edges.
+    """The non-dominated (length, cost) staircase of a vertex's paths to the sink.
 
-    Stored as the non-dominated (length, cost) staircase of v->t paths:
     ``lengths`` strictly rise and ``costs`` strictly fall, so the cheapest
     path within k edges is the last step at or below length k.  ``costs`` are
-    integer counts of 1/``unit``; the ``cost_*`` methods return Fractions.
+    integer counts of 1/``graph.unit``.
     """
 
     lengths: tuple[int, ...]
     costs: tuple[int, ...]
-    unit: int
 
     def at_most(self, k: int) -> int | None:
         i = bisect_right(self.lengths, k)
@@ -97,18 +104,8 @@ class HopCostTable:
 
     def cases(self, budget: int) -> tuple[int, int | None, int | None]:
         """Cheapest costs over any length, at most ``budget`` and fewer than
-        ``budget`` edges, in 1/unit: the lose, tie and win continuations."""
+        ``budget`` edges: the lose, tie and win continuations."""
         return self.costs[-1], self.at_most(budget), self.at_most(budget - 1)
-
-    def cost_any(self) -> Fraction:
-        return Fraction(self.costs[-1], self.unit)
-
-    def cost_at_most(self, k: int) -> Fraction | None:
-        cost = self.at_most(k)
-        return None if cost is None else Fraction(cost, self.unit)
-
-    def cost_fewer(self, k: int) -> Fraction | None:
-        return self.cost_at_most(k - 1)
 
 
 @dataclass(frozen=True)
@@ -163,8 +160,7 @@ class TaskGraph:
         indeg = {v: 0 for v in self.vertices}
         for e in self.edges:
             indeg[e.head] += 1
-        ready = sorted((v for v in self.vertices if indeg[v] == 0), key=self.index.__getitem__)
-        queue = deque(ready)
+        queue = deque(v for v in self.vertices if indeg[v] == 0)
         order: list[str] = []
         while queue:
             v = queue.popleft()
@@ -181,8 +177,7 @@ class TaskGraph:
     def hop_tables(self) -> dict[str, HopCostTable]:
         """Per-vertex staircases, each merged from its successors' staircases
         shifted by one edge (bicriteria label setting, Hansen 1980)."""
-        unit = self.unit
-        tables = {self.sink: HopCostTable((0,), (0,), unit)}
+        tables = {self.sink: HopCostTable((0,), (0,))}
         for v in reversed(self.topo_order):
             if v == self.sink:
                 continue
@@ -199,14 +194,11 @@ class TaskGraph:
                 if not costs or best[length] < costs[-1]:
                     lengths.append(length + 1)
                     costs.append(best[length])
-            tables[v] = HopCostTable(tuple(lengths), tuple(costs), unit)
+            tables[v] = HopCostTable(tuple(lengths), tuple(costs))
         return tables
 
-    def hop_table(self, v: str) -> HopCostTable:
-        return self.hop_tables[v]
-
     def cheapest_cost(self, v: str) -> Fraction:
-        return self.hop_tables[v].cost_any()
+        return Fraction(self.hop_tables[v].costs[-1], self.unit)
 
     def to_json_dict(self) -> dict:
         return {
@@ -312,16 +304,6 @@ def validate(data: Mapping) -> TaskGraph:
 
 def load_graph(text: str) -> TaskGraph:
     return validate(json.loads(text))
-
-
-def hop_bounded_cheapest(graph: TaskGraph, v: str, k: int | None = None) -> Fraction | None:
-    """Cost of the cheapest v->sink path using at most k edges (None = unbounded)."""
-    table = graph.hop_table(v)
-    if k is None:
-        return table.cost_any()
-    if k < 0:
-        raise ValueError("hop bound must be nonnegative or None")
-    return table.cost_at_most(k)
 
 
 def first_path(graph: TaskGraph, length: int, cost: int, suffix_cost) -> PathRecord:

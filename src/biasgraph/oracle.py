@@ -95,7 +95,10 @@ def brute_perceived_min(
     opponent_length: int | None,
     reward: Fraction,
 ) -> Fraction:
-    """Perceived cost evaluated literally over every enumerated continuation."""
+    """Perceived cost evaluated literally over every enumerated continuation.
+
+    A tie pays ``reward / 2``: split ties, the rule ``feasible_rewards`` assumes.
+    """
     bias, reward = Fraction(bias), Fraction(reward)
     biased_edge = bias * graph.edge_cost(state.vertex, successor)
     best: Fraction | None = None

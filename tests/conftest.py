@@ -76,6 +76,14 @@ def reference_staircases(graph: TaskGraph) -> dict[str, list[tuple[int, Fraction
     return stairs
 
 
+def hop_cost(graph: TaskGraph, v: str, k: int | None = None) -> Fraction | None:
+    """The cheapest v->sink cost within k edges (None: any length), read from
+    the integer staircase and scaled by the graph's unit."""
+    table = graph.hop_tables[v]
+    cost = table.costs[-1] if k is None else table.at_most(k)
+    return None if cost is None else Fraction(cost, graph.unit)
+
+
 def at(graph: TaskGraph, *prefix: str) -> TraversalState:
     return TraversalState(prefix[-1], len(prefix) - 1)
 

@@ -1,10 +1,12 @@
-"""Names the benchmark's traced run looks up in the package.
+"""Names the benchmark looks up in the package.
 
-``perfbench/tracing.py`` wraps module and class attributes by name; a rename
-in the package would only surface when a traced benchmark run fails.  These
-tests read that file, unedited, and check every name it needs.
+``perfbench/tracing.py`` wraps module and class attributes by name, and the
+workloads and the selftest read attributes of the modules they import; a
+rename or deletion in the package would only surface when a benchmark run
+fails.  These tests read those files, unedited, and check every name they need.
 """
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -15,7 +17,8 @@ from biasgraph.intervals import IntervalSet
 
 from conftest import build_graph
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -43,3 +46,49 @@ def test_hop_tables_is_a_cached_property():
 def test_interval_set_names():
     for attr in ("intersect", "nonnegative", "empty"):
         assert callable(getattr(IntervalSet, attr, None)), attr
+
+
+def _imported(module: str, name: str):
+    """What ``from <module> import <name>`` binds: an attribute or a submodule."""
+    try:
+        return getattr(importlib.import_module(module), name)
+    except AttributeError:
+        return importlib.import_module(f"{module}.{name}")
+
+
+def _attribute_reads(path: Path) -> list[tuple[str, ...]]:
+    """Every dotted read ``alias.a.b`` of a name bound by ``from biasgraph... import``,
+    as (qualified module, a, b)."""
+    tree = ast.parse(path.read_text())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("biasgraph"):
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = (node.module, alias.name)
+    reads = []
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in aliases:
+            reads.append((*aliases[node.id], *reversed(chain)))
+    return reads
+
+
+def test_benchmark_attribute_reads_resolve():
+    reads = set()
+    for name in ("selftest.py", "workloads.py"):
+        reads |= {(name, *read) for read in _attribute_reads(PERFBENCH / name)}
+    for name, module, imported, *attrs in reads:
+        obj = _imported(module, imported)
+        for attr in attrs:
+            assert hasattr(obj, attr), (name, module, imported, *attrs)
+            obj = getattr(obj, attr)
+    found = {read[1:] for read in reads}
+    for read in [("biasgraph", "intervals", "IntervalSet", "nonnegative"),
+                 ("biasgraph", "equilibria", "algorithm_breakpoints"),
+                 ("biasgraph", "graph", "load_graph"),  # imported as bgraph
+                 ("biasgraph", "verify", "SUITES"),
+                 ("biasgraph", "cli", "run")]:
+        assert read in found, read

@@ -132,6 +132,44 @@ def test_huge_cost_exponent_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+def test_huge_exponent_in_every_rational_option_exits_2(capsys, tmp_path):
+    fan, fig1 = write_fan(tmp_path), tmp_path / "fig1.json"
+    fig1.write_text(invoke(capsys, "gen", "fig1")[1])
+    fig1 = str(fig1)
+    bne = ["--n", "3", "--c", "2"]
+    commands = [
+        (["gen", "fan", "--n", "3", "--c", "2"], ["--c"]),
+        (["gen", "mod3fan", "--c", "2", "--c2", "5", "--c3", "26"], ["--c", "--c2", "--c3"]),
+        (["simulate", "--graph", fig1, "--bias", "2", "--reward", "1"], ["--bias", "--reward"]),
+        (["cost-ratio", "--graph", fig1, "--bias", "2"], ["--bias"]),
+        (["ne-check", "--graph", fan, "--path", "P0", "--bias", "2", "--reward", "1"],
+         ["--bias", "--reward"]),
+        (["min-reward", "--graph", fan, "--path", "P0", "--bias", "2"], ["--bias"]),
+        (["unbiased-eq", "--graph", fan, "--reward", "2"], ["--reward"]),
+        (["bne-fan", *bne, "--dist", "uniform", "--d", "4", "--r", "4"], ["--c", "--d", "--r"]),
+        (["bne-fan", *bne, "--dist", "exponential", "--rate", "1", "--r", "4"], ["--rate"]),
+        (["bne-fan-multi", *bne, "--dist", "equal-revenue", "--m", "2", "--per-agent-s", "4"],
+         ["--per-agent-s"]),
+        (["bne-fan-multi", *bne, "--dist", "equal-revenue", "--m", "2", "--r", "8"], ["--r"]),
+        (["bne-sweep", *bne, "--dist", "equal-revenue", "--r-min", "2", "--r-max", "6"],
+         ["--r-min", "--r-max"]),
+    ]
+    tried = set()
+    for argv, options in commands:
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+        for option in options:
+            bad = list(argv)
+            bad[bad.index(option) + 1] = "1e5000"
+            assert run(bad) == 2, bad
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument {option}: '1e5000' has a decimal exponent" in captured.err, bad
+            tried.add(option)
+    assert tried == {"--bias", "--reward", "--c", "--c2", "--c3", "--d", "--rate", "--r",
+                     "--r-min", "--r-max", "--per-agent-s"}
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 

@@ -24,7 +24,6 @@ from biasgraph import (
     feasible_rewards,
     make_fan,
     make_named_instance,
-    min_reward_for_ne,
     nondominated_ladder,
 )
 from biasgraph.oracle import (
@@ -250,7 +249,7 @@ class TestDominantPathReward:
         assert bound.reward == 6
         assert check_symmetric_ne(graph, bound.path, bound.reward, bias)
         # the exact requirement is lower: twice the detour saving
-        assert min_reward_for_ne(graph, bound.path, bias) == 2
+        assert feasible_rewards(graph, bound.path, bias).min_point() == 2
 
     def test_more_agents_scale_linearly(self, fan5):
         _, graph = fan5
@@ -287,12 +286,12 @@ class TestFeasibleRewards:
         _, graph = fan5
         feasible = feasible_rewards(graph, fan_path(graph, 0), F(2))
         assert feasible.to_json_list() == [{"lo": "1", "hi": None}]
-        assert min_reward_for_ne(graph, fan_path(graph, 0), F(2)) == 1
+        assert feasible.min_point() == 1
 
     def test_fan_interior_path_infeasible(self, fan5):
         _, graph = fan5
         assert feasible_rewards(graph, fan_path(graph, 2), F(2)).is_empty
-        assert min_reward_for_ne(graph, fan_path(graph, 2), F(2)) is None
+        assert feasible_rewards(graph, fan_path(graph, 2), F(2)).min_point() is None
 
     def test_fan_longest_path_cap(self, fan5):
         _, graph = fan5
@@ -374,12 +373,9 @@ def _ref_half_line(intercept, slope):
 
 
 def _ref_case_lines(graph, v, budget):
-    table = graph.hop_table(v)
-    lines = [(table.cost_any(), F(0))]
-    for cost, slope in ((table.cost_at_most(budget), F(-1, 2)), (table.cost_fewer(budget), F(-1))):
-        if cost is not None:
-            lines.append((cost, slope))
-    return lines
+    cases = graph.hop_tables[v].cases(budget)
+    return [(F(cost, graph.unit), slope)
+            for cost, slope in zip(cases, (F(0), F(-1, 2), F(-1))) if cost is not None]
 
 
 def reference_feasible_rewards(graph, q, bias):

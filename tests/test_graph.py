@@ -15,7 +15,6 @@ from biasgraph import (
     TaskGraph,
     UnknownInstance,
     cheapest_per_length,
-    hop_bounded_cheapest,
     load_graph,
     make_fan,
     make_named_instance,
@@ -24,7 +23,7 @@ from biasgraph import (
 from biasgraph.graph import parse_cost
 from biasgraph.oracle import enumerate_paths, random_layered_graph
 
-from conftest import build_graph, coprime_graph, reference_staircases
+from conftest import build_graph, coprime_graph, hop_cost, reference_staircases
 
 
 class TestValidate:
@@ -103,41 +102,41 @@ class TestValidate:
     def test_unit_is_the_lcm_of_cost_denominators(self):
         g = build_graph([("s", "a", Fraction(1, 6)), ("a", "t", Fraction(3, 4)), ("s", "t", 2)])
         assert g.unit == 12
-        assert g.hop_table("s").costs == (24, 11)  # 2 and 1/6 + 3/4 in twelfths
+        assert g.hop_tables["s"].costs == (24, 11)  # 2 and 1/6 + 3/4 in twelfths
         assert build_graph([("s", "t", 5)]).unit == 1
 
 
 class TestHopBoundedCheapest:
     def test_fig1_source_unbounded(self, fig1):
         graph, _ = fig1
-        assert hop_bounded_cheapest(graph, "s") == 6
+        assert hop_cost(graph, "s") == 6
 
     def test_sink_zero_budget(self, fig1):
         graph, _ = fig1
-        assert hop_bounded_cheapest(graph, "t", 0) == 0
+        assert hop_cost(graph, "t", 0) == 0
 
     def test_fan_v1_unbounded_is_direct_exit(self, fan5):
         _, graph = fan5
-        assert hop_bounded_cheapest(graph, "v1") == Fraction(3, 2)
+        assert hop_cost(graph, "v1") == Fraction(3, 2)
 
     def test_budget_zero_elsewhere_absent(self, fig1):
         graph, _ = fig1
-        assert hop_bounded_cheapest(graph, "v", 0) is None
+        assert hop_cost(graph, "v", 0) is None
 
     def test_nonincreasing_in_budget_and_matches_unbounded(self, fig1):
         graph, _ = fig1
         for v in graph.vertices:
-            values = [hop_bounded_cheapest(graph, v, k) for k in range(len(graph.vertices) + 2)]
+            values = [hop_cost(graph, v, k) for k in range(len(graph.vertices) + 2)]
             present = [x for x in values if x is not None]
             assert all(a >= b for a, b in zip(present, present[1:]))
-            assert values[len(graph.vertices)] == hop_bounded_cheapest(graph, v)
+            assert values[len(graph.vertices)] == hop_cost(graph, v)
 
     def test_table_ordering_invariant(self, fan5):
         _, graph = fan5
         for v in graph.vertices:
-            table = graph.hop_table(v)
+            table = graph.hop_tables[v]
             for k in range(len(graph.vertices)):
-                any_, le, lt = table.cost_any(), table.cost_at_most(k), table.cost_fewer(k)
+                any_, le, lt = table.cases(k)
                 if le is not None:
                     assert any_ <= le
                 if lt is not None:
@@ -147,10 +146,10 @@ class TestHopBoundedCheapest:
         rng = np.random.default_rng(13)
         graphs = [fig1[0]] + [random_layered_graph(rng, max_vertices=30) for _ in range(20)]
         for graph in graphs:
-            sink = graph.hop_table(graph.sink)
+            sink = graph.hop_tables[graph.sink]
             assert (sink.lengths, sink.costs) == ((0,), (0,))
             for v in graph.vertices:
-                table = graph.hop_table(v)
+                table = graph.hop_tables[v]
                 assert len(table.lengths) == len(table.costs) >= 1
                 assert all(a < b for a, b in zip(table.lengths, table.lengths[1:]))
                 assert all(a > b for a, b in zip(table.costs, table.costs[1:]))
@@ -163,9 +162,9 @@ class TestHopBoundedCheapest:
         assert graph.unit == lcm(*{e.cost.denominator for e in graph.edges})
         stairs = reference_staircases(graph)
         for v in graph.vertices:
-            table = graph.hop_table(v)
+            table = graph.hop_tables[v]
             assert all(type(cost) is int for cost in table.costs)
-            assert [(k, Fraction(c, table.unit)) for k, c in zip(table.lengths, table.costs)] \
+            assert [(k, Fraction(c, graph.unit)) for k, c in zip(table.lengths, table.costs)] \
                 == stairs[v]
 
     def test_rebuilt_graph_has_equal_tables_and_unit(self):
@@ -186,7 +185,7 @@ class TestHopBoundedCheapest:
                     if v == graph.sink:
                         costs.append(Fraction(0))
                     expected = min(costs) if costs else None
-                    assert hop_bounded_cheapest(graph, v, k) == expected
+                    assert hop_cost(graph, v, k) == expected
 
 
 class TestCheapestPerLength:
@@ -248,7 +247,7 @@ class TestMakeFan:
     def test_cheapest_path_is_direct(self, fan3):
         _, graph = fan3
         assert graph.cheapest_cost("s") == 1
-        assert graph.hop_table("s").cost_at_most(1) == 1
+        assert graph.hop_tables["s"].at_most(1) == graph.unit
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
