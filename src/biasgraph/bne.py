@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph import PathRecord, TaskGraph
 from .instances import FanSpec, fan_path, make_fan
@@ -167,8 +166,10 @@ def lambert_w0(x: float) -> float:
 def reward_share_factor(prob_optimal: float, competitors: int) -> float:
     """Expected reward fraction gained by finishing immediately against
     ``competitors`` opponents who each finish immediately with the given
-    probability: (1 - (1-p)^m * (1+p*m)) / (p*(m+1)).  Evaluated in exact
-    rational arithmetic to avoid cancellation; continuous limit 0 at p = 0.
+    probability: (1 - (1-p)^m * (1+p*m)) / (p*(m+1)).  With p = n/d exactly,
+    this is the integer ratio (d^(m+1) - (d-n)^m * (d+n*m)) / (d^m * n * (m+1)),
+    so one correctly rounded division returns the float of the exact rational
+    value, free of cancellation; continuous limit 0 at p = 0.
     """
     m = competitors
     if m < 1:
@@ -177,13 +178,17 @@ def reward_share_factor(prob_optimal: float, competitors: int) -> float:
         raise ValueError("probability out of range")
     if prob_optimal == 0.0:
         return 0.0
-    p = Fraction(prob_optimal)
-    value = (1 - (1 - p) ** m * (1 + p * m)) / (p * (m + 1))
-    return float(value)
+    n, d = prob_optimal.as_integer_ratio()
+    d_m = d**m
+    return (d_m * d - (d - n) ** m * (d + n * m)) / (d_m * n * (m + 1))
 
 
 def expected_inverse_share(prob_optimal: float, competitors: int) -> float:
-    """E[1/(N+1)] for N ~ Binomial(m, p): (1 - (1-p)^(m+1)) / (p*(m+1))."""
+    """E[1/(N+1)] for N ~ Binomial(m, p): (1 - (1-p)^(m+1)) / (p*(m+1)).  With
+    p = n/d exactly, this is the integer ratio (d^(m+1) - (d-n)^(m+1)) /
+    (d^m * n * (m+1)), so one correctly rounded division returns the float of
+    the exact rational value.
+    """
     m = competitors
     if m < 0:
         raise ValueError("competitor count must be nonnegative")
@@ -191,8 +196,9 @@ def expected_inverse_share(prob_optimal: float, competitors: int) -> float:
         raise ValueError("probability out of range")
     if prob_optimal == 0.0:
         return 1.0
-    p = Fraction(prob_optimal)
-    return float((1 - (1 - p) ** (m + 1)) / (p * (m + 1)))
+    n, d = prob_optimal.as_integer_ratio()
+    d_m = d**m
+    return (d_m * d - (d - n) ** (m + 1)) / (d_m * n * (m + 1))
 
 
 def _largest_fixed_point(g) -> float | None:

@@ -35,6 +35,12 @@ EXIT_VERIFY_FAILED = 4
 # verify.SUITES, spelled out so that building the parser does not import numpy.
 SUITES = ("alg1", "prop1", "thm1", "thm2", "bne")
 
+# Bounds on the bne commands' work.  One fixed-point solve evaluates the share
+# factor at up to about 4,000 points, and each evaluation costs O(m) big-integer
+# products, so the worst accepted bne-sweep takes seconds, not hours.
+MAX_COMPETITORS = 100
+MAX_SWEEP_STEPS = 100
+
 
 def _round_floats(obj):
     if isinstance(obj, float):
@@ -60,6 +66,11 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _at_most(option: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise ValueError(f"{option} is {value}, above its bound {bound}")
 
 
 def _dist_from_args(args) -> BiasDistribution:
@@ -152,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bne-fan-multi", help="cutoff equilibrium with m competitors")
     add_bne_common(p)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=f"competitors, at most {MAX_COMPETITORS}")
     p.add_argument("--r", type=_rational, default=None)
     p.add_argument("--per-agent-s", type=_rational, default=None,
                    help="per-agent reward; total is (m+1)*s")
@@ -161,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_bne_common(p)
     p.add_argument("--r-min", type=_rational, required=True)
     p.add_argument("--r-max", type=_rational, required=True)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--steps", type=int, default=20, help=f"at most {MAX_SWEEP_STEPS}")
+    p.add_argument("--m", type=int, default=1, help=f"competitors, at most {MAX_COMPETITORS}")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("verify", help="run a randomized cross-check suite")
@@ -268,6 +279,7 @@ def _cmd_bne_fan_multi(args) -> int:
     spec = FanSpec(args.n, args.c)
     if (args.r is None) == (args.per_agent_s is None):
         raise ValueError("give exactly one of --r or --per-agent-s")
+    _at_most("--m", args.m, MAX_COMPETITORS)
     if args.r is not None:
         reward = float(args.r)
     else:
@@ -283,6 +295,8 @@ def _cmd_bne_sweep(args) -> int:
     lo, hi = float(args.r_min), float(args.r_max)
     if args.steps < 2 or hi < lo:
         raise ValueError("need r-max >= r-min and at least two steps")
+    _at_most("--steps", args.steps, MAX_SWEEP_STEPS)
+    _at_most("--m", args.m, MAX_COMPETITORS)
     rows = []
     for i in range(args.steps):
         r = lo + (hi - lo) * i / (args.steps - 1)

@@ -3,13 +3,17 @@
 ``perfbench/tracing.py`` wraps module and class attributes by name, and the
 workloads and the selftest read attributes of the modules they import; a
 rename or deletion in the package would only surface when a benchmark run
-fails.  These tests read those files, unedited, and check every name they need.
+fails.  These tests read those files, unedited, and check every name they need,
+and the last one runs the selftest itself.
 """
 
 import ast
 import functools
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from biasgraph.graph import TaskGraph
@@ -92,3 +96,13 @@ def test_benchmark_attribute_reads_resolve():
                  ("biasgraph", "verify", "SUITES"),
                  ("biasgraph", "cli", "run")]:
         assert read in found, read
+
+
+def test_selftest_passes():
+    """perfbench/selftest.py, unedited, accepts the program's answers and set-up
+    paths, so a change that breaks the benchmark's set-up fails here."""
+    root = PERFBENCH.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

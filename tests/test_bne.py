@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasgraph import (
     BiasDistribution,
@@ -215,6 +217,45 @@ class TestShareFactors:
             closed = expected_inverse_share(p, m)
             sampled = monte_carlo_inverse_share(p, m, 10**6, seed=100 + i)
             assert abs(closed - sampled) <= 1e-3
+
+
+def _reference_share_factor(prob_optimal, m):
+    """The share factor as the exact rational it was first written as."""
+    if prob_optimal == 0:
+        return 0.0
+    p = Fraction(prob_optimal)
+    return float((1 - (1 - p) ** m * (1 + p * m)) / (p * (m + 1)))
+
+
+def _reference_inverse_share(prob_optimal, m):
+    if prob_optimal == 0:
+        return 1.0
+    p = Fraction(prob_optimal)
+    return float((1 - (1 - p) ** (m + 1)) / (p * (m + 1)))
+
+
+def _assert_bit_identical(p, m):
+    if m >= 1:
+        assert reward_share_factor(p, m) == _reference_share_factor(p, m)
+    assert expected_inverse_share(p, m) == _reference_inverse_share(p, m)
+
+
+class TestShareFactorBits:
+    """The integer-ratio share factors equal the exact rationals' floats, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, allow_subnormal=True),
+           st.integers(0, 60))
+    def test_equal_to_the_fraction_formulas(self, p, m):
+        _assert_bit_identical(p, m)
+
+    @pytest.mark.parametrize("p", [
+        5e-324, 1 - 2.0**-53, 1.0, 1, F(1, 3), np.float64(0.37), 0.0,
+        *np.linspace(0.01, 1.0, 34),  # the bne suite's grid
+    ])
+    def test_fixed_probabilities(self, p):
+        for m in range(61):
+            _assert_bit_identical(p, m)
 
 
 class TestMultiAgent:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,6 +331,35 @@ def test_bne_overflow_exits_2(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+
+_ER_FAN = ["--n", "5", "--c", "2", "--dist", "equal-revenue"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bne-fan-multi", *_ER_FAN, "--m", "101", "--r", "8"],
+    ["bne-fan-multi", *_ER_FAN, "--m", "100000", "--r", "8"],
+    ["bne-sweep", *_ER_FAN, "--r-min", "0", "--r-max", "2", "--m", "101"],
+    ["bne-sweep", *_ER_FAN, "--r-min", "0", "--r-max", "2", "--m", "100000"],
+    ["bne-sweep", *_ER_FAN, "--r-min", "0", "--r-max", "2", "--steps", "101"],
+    ["bne-sweep", *_ER_FAN, "--r-min", "0", "--r-max", "2", "--steps", "20000"],
+])
+def test_bne_work_past_its_bound_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "bound 100" in captured.err
+    assert elapsed < 1.0
+
+
+def test_bne_competitor_bound_is_inclusive(capsys):
+    code, out = invoke(capsys, "bne-fan-multi", *_ER_FAN, "--m", "100", "--r", "8")
+    assert code == 0
+    assert json.loads(out)["competitors"] == 100
+
+
 def test_simulate_rejects_negative_opponent_length(capsys, tmp_path):
     _, graph_json = invoke(capsys, "gen", "fig1")
     graph_file = tmp_path / "fig1.json"
@@ -377,6 +407,13 @@ def test_non_finite_json_exits_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: Out of range float values are not JSON compliant\n"
+
+
+def test_huge_finite_answer_exits_0_with_strict_json(capsys):
+    code, out = invoke(capsys, "bne-fan", *_ER_FAN, "--r", "1e308")
+    assert code == 0
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+    assert payload["cutoff"] == 5e307 and payload["p"] == 1.0
 
 
 _json_leaves = (st.none() | st.booleans() | st.floats() | st.integers(-3, 3)
