@@ -89,6 +89,8 @@ class _Perceiver:
     Costs are counted in 1/unit with unit = lcm(graph.unit * bias denominator,
     share denominator * reward denominator), so the biased edge, the
     continuation, the tie share of the reward and the reward are all integers.
+    :meth:`scores` evaluates every successor of a vertex in one loop over its
+    arcs, whose costs are already in 1/graph.unit.
     """
 
     def __init__(self, graph: TaskGraph, config: AgentConfig, opponent_length: int | None,
@@ -105,33 +107,35 @@ class _Perceiver:
             self.unit // (share.denominator * reward.denominator))
         self.win = reward.numerator * (self.unit // reward.denominator)
 
-    def __call__(self, steps_taken: int, cost: Fraction, successor: str) -> int:
-        """The three-case reduction for an edge of ``cost`` into ``successor``."""
-        graph, scale = self.graph, self.scale
-        table = graph.hop_tables[successor]
-        biased_edge = self.bias * graph.units(cost)
+    def scores(self, steps_taken: int, arcs: tuple[tuple[str, int], ...]) -> list[tuple[str, int]]:
+        """(head, perceived cost) for each arc, by the three-case reduction."""
+        tables, scale, bias = self.graph.hop_tables, self.scale, self.bias
         if self.opponent_length is None:
-            return biased_edge + scale * table.costs[-1]
+            return [(head, bias * cost + scale * tables[head].costs[-1]) for head, cost in arcs]
         # the budget is the number of edges left to tie the opponent
-        lose, tie, win = table.cases(self.opponent_length - steps_taken - 1)
-        best = scale * lose
-        if tie is not None:
-            best = min(best, scale * tie - self.tie)
-        if win is not None:
-            best = min(best, scale * win - self.win)
-        return biased_edge + best
+        budget = self.opponent_length - steps_taken - 1
+        tie_reward, win_reward = self.tie, self.win
+        scored = []
+        for head, cost in arcs:
+            lose, tie, win = tables[head].cases(budget)
+            best = scale * lose
+            if tie is not None:
+                best = min(best, scale * tie - tie_reward)
+                if win is not None:
+                    best = min(best, scale * win - win_reward)
+            scored.append((head, bias * cost + best))
+        return scored
 
-    def step(self, state: TraversalState, reference_next: str | None) -> TraversalStep:
-        scored = [(e.head, self(state.steps_taken, e.cost, e.head))
-                  for e in self.graph.successors(state.vertex)]
+    def step(self, vertex: str, steps_taken: int, reference_next: str | None) -> TraversalStep:
+        scored = self.scores(steps_taken, self.graph.arcs[vertex])
         if not scored:
-            raise ValueError(f"vertex {state.vertex} has no successor")
+            raise ValueError(f"vertex {vertex} has no successor")
         chosen, best = min(scored, key=itemgetter(1))
         if reference_next is not None and (reference_next, best) in scored:
             chosen = reference_next
         unit = self.unit
         alternatives = tuple((v, Fraction(cost, unit)) for v, cost in scored if v != chosen)
-        return TraversalStep(state.vertex, chosen, Fraction(best, unit), alternatives)
+        return TraversalStep(vertex, chosen, Fraction(best, unit), alternatives)
 
 
 def perceived_cost(
@@ -144,8 +148,9 @@ def perceived_cost(
 ) -> Fraction:
     """Perceived cost of stepping to ``successor``, per the three-case reduction."""
     perceive = _Perceiver(graph, config, opponent_length, reward)
-    cost = graph.edge_cost(state.vertex, successor)
-    return Fraction(perceive(state.steps_taken, cost, successor), perceive.unit)
+    arc = (successor, graph.arc_cost(state.vertex, successor))
+    [(_, cost)] = perceive.scores(state.steps_taken, (arc,))
+    return Fraction(cost, perceive.unit)
 
 
 def step(
@@ -161,7 +166,8 @@ def step(
     Ties prefer ``reference_next`` when given (the agent stays on a path it is
     being tested against), otherwise the earliest vertex in graph order.
     """
-    return _Perceiver(graph, config, opponent_length, reward).step(state, reference_next)
+    perceive = _Perceiver(graph, config, opponent_length, reward)
+    return perceive.step(state.vertex, state.steps_taken, reference_next)
 
 
 def traverse(
@@ -177,18 +183,16 @@ def traverse(
     perceive = _Perceiver(graph, config, opponent, reward)
     prefix = [graph.source]
     log: list[TraversalStep] = []
-    on_reference = reference is not None
+    ref = reference.vertices if reference is not None else ()
     while prefix[-1] != graph.sink:
-        if len(prefix) > len(graph.vertices):  # pragma: no cover - DAG guarantees progress
+        steps = len(prefix) - 1
+        if steps >= len(graph.vertices):  # pragma: no cover - DAG guarantees progress
             raise AssertionError("traversal failed to terminate")
-        state = TraversalState(prefix[-1], len(prefix) - 1)
-        ref_next = None
-        if on_reference and len(prefix) < len(reference.vertices):
-            ref_next = reference.vertices[len(prefix)]
-        taken = perceive.step(state, ref_next)
+        ref_next = ref[steps + 1] if steps + 1 < len(ref) else None
+        taken = perceive.step(prefix[-1], steps, ref_next)
         log.append(taken)
-        if on_reference and taken.chose != ref_next:
-            on_reference = False
+        if taken.chose != ref_next:
+            ref = ()
         prefix.append(taken.chose)
     return TraversalTrace(PathRecord.from_vertices(graph, prefix), tuple(log))
 

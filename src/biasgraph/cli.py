@@ -40,6 +40,10 @@ SUITES = ("alg1", "prop1", "thm1", "thm2", "bne")
 # products, so the worst accepted bne-sweep takes seconds, not hours.
 MAX_COMPETITORS = 100
 MAX_SWEEP_STEPS = 100
+# Suite sizes grow linearly with --scale; at this bound the slowest suite,
+# alg1, runs for 46-47 s on a 2-core Xeon.  verify.run_suite itself takes
+# any scale.
+MAX_VERIFY_SCALE = 100
 
 
 def _round_floats(obj):
@@ -179,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a randomized cross-check suite")
     p.add_argument("--suite", choices=list(SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=float, default=1.0, help=f"at most {MAX_VERIFY_SCALE}")
 
     return parser
 
@@ -318,6 +322,7 @@ def _cmd_bne_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_most("--scale", args.scale, MAX_VERIFY_SCALE)
     from . import verify  # imports numpy, which no other command needs
 
     report = verify.run_suite(args.suite, seed=args.seed, scale=args.scale)

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from .agents import AgentConfig, RewardTie, TraversalTrace, traverse
 from .errors import BiasNotAboveC, NoDominantPath
-from .graph import PathRecord, TaskGraph, first_path
+from .graph import HopCostTable, PathRecord, TaskGraph, first_path
 from .instances import FanSpec
 from .intervals import Interval, IntervalSet
 
@@ -157,8 +157,8 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
     seq = [graph.source]
     while seq[-1] != graph.sink:
         quickest = graph.hop_tables[seq[-1]].lengths[0]
-        heads = [e.head for e in graph.successors(seq[-1])
-                 if graph.hop_tables[e.head].lengths[0] == quickest - 1]
+        heads = [head for head, _ in graph.arcs[seq[-1]]
+                 if graph.hop_tables[head].lengths[0] == quickest - 1]
         if len(heads) > 1:
             raise NoDominantPath(f"two quickest paths part at {seq[-1]}")
         seq.append(heads[0])
@@ -195,14 +195,15 @@ def _scale(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, i
     return bias, bias.denominator * graph.unit
 
 
-def _case_lines(graph: TaskGraph, v: str, budget: int, bias: Fraction) -> list[tuple[int, int]]:
-    """(intercept, half-slope) lines whose lower envelope is the continuation value."""
-    lose, tie, win = graph.hop_tables[v].cases(budget)
-    lines = [(lose * bias.denominator, 0)]
+def _case_lines(table: HopCostTable, budget: int, scale: int) -> list[tuple[int, int]]:
+    """(intercept, half-slope) lines whose lower envelope is the continuation
+    value, with the table's costs multiplied by ``scale``."""
+    lose, tie, win = table.cases(budget)
+    lines = [(lose * scale, 0)]
     if tie is not None:
-        lines.append((tie * bias.denominator, -1))
+        lines.append((tie * scale, -1))
     if win is not None:
-        lines.append((win * bias.denominator, -2))
+        lines.append((win * scale, -2))
     return lines
 
 
@@ -221,15 +222,16 @@ def _crossings(lines: list[tuple[int, int]]) -> set[int]:
 def _deviations(graph: TaskGraph, q: PathRecord, bias: Fraction):
     """(stay_lines, dev_lines, margin) for every edge (u, v) of q and every
     deviation (u, v'), where margin is bias * (c(u, v) - c(u, v')) * unit."""
-    budget = q.length
+    budget, arcs, tables = q.length, graph.arcs, graph.hop_tables
+    numerator, denominator = bias.numerator, bias.denominator
     for u, v in zip(q.vertices, q.vertices[1:]):
         budget -= 1
-        stay_lines = _case_lines(graph, v, budget, bias)
-        stay_edge_cost = graph.units(graph.edge_cost(u, v))
-        for e in graph.successors(u):
-            if e.head != v:
-                margin = bias.numerator * (stay_edge_cost - graph.units(e.cost))
-                yield stay_lines, _case_lines(graph, e.head, budget, bias), margin
+        stay_edge_cost = graph.arc_cost(u, v)
+        stay_lines = _case_lines(tables[v], budget, denominator)
+        for head, cost in arcs[u]:
+            if head != v:
+                margin = numerator * (stay_edge_cost - cost)
+                yield stay_lines, _case_lines(tables[head], budget, denominator), margin
 
 
 def _gaps(stay_lines: list[tuple[int, int]], dev_lines: list[tuple[int, int]], margin: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CycleDetected, NegativeCost, NoSourceSinkPath
 
@@ -55,8 +55,7 @@ def parse_cost(value: str | int | Fraction) -> Fraction:
     return cost
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     tail: str
     head: str
     cost: Fraction
@@ -75,7 +74,7 @@ class PathRecord:
         seq = tuple(seq)
         if len(seq) < 2:
             raise ValueError("a path needs at least one edge")
-        cost = sum(graph.units(graph.edge_cost(u, v)) for u, v in zip(seq, seq[1:]))
+        cost = sum(graph.arc_cost(u, v) for u, v in zip(seq, seq[1:]))
         return cls(seq, Fraction(cost, graph.unit), len(seq) - 1)
 
     def to_json_dict(self) -> dict:
@@ -104,8 +103,19 @@ class HopCostTable:
 
     def cases(self, budget: int) -> tuple[int, int | None, int | None]:
         """Cheapest costs over any length, at most ``budget`` and fewer than
-        ``budget`` edges: the lose, tie and win continuations."""
-        return self.costs[-1], self.at_most(budget), self.at_most(budget - 1)
+        ``budget`` edges: the lose, tie and win continuations.
+
+        One bisect finds the tie entry; the win entry is the same one unless
+        that entry has exactly ``budget`` edges, in which case it is the one
+        before it.
+        """
+        lengths, costs = self.lengths, self.costs
+        i = bisect_right(lengths, budget)
+        if not i:
+            return costs[-1], None, None
+        if lengths[i - 1] < budget:
+            return costs[-1], costs[i - 1], costs[i - 1]
+        return costs[-1], costs[i - 1], costs[i - 2] if i > 1 else None
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,8 @@ class TaskGraph:
     """Validated, immutable weighted DAG with source and sink.
 
     Construct through :func:`validate`; every vertex of a validated graph lies
-    on at least one source->sink path, so cheapest-path queries are total.
+    on at least one source->sink path, so cheapest-path queries are total,
+    and ``edges`` are sorted by (tail, head) position in ``vertices``.
     """
 
     vertices: tuple[str, ...]
@@ -138,13 +149,26 @@ class TaskGraph:
         return {(e.tail, e.head): e.cost for e in self.edges}
 
     @cached_property
+    def arcs(self) -> dict[str, tuple[tuple[str, int], ...]]:
+        """Each vertex's out-edges as (head, cost in 1/unit), in head order:
+        the integer view of the edges that the per-edge loops read."""
+        unit = self.unit
+        out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+        for tail, head, cost in self.edges:
+            out[tail].append((head, cost.numerator * (unit // cost.denominator)))
+        return {v: tuple(arcs) for v, arcs in out.items()}
+
+    @cached_property
     def unit(self) -> int:
         """The lcm of the edge-cost denominators: every path cost is a whole number of 1/unit."""
         return lcm(*{e.cost.denominator for e in self.edges})
 
-    def units(self, cost: Fraction) -> int:
-        """An edge cost, or a sum of them, as an integer count of 1/unit."""
-        return cost.numerator * (self.unit // cost.denominator)
+    def arc_cost(self, u: str, v: str) -> int:
+        """The cost of the edge u->v in 1/unit, read from ``arcs[u]``."""
+        for head, cost in self.arcs.get(u, ()):
+            if head == v:
+                return cost
+        raise KeyError(f"no edge {u}->{v}")
 
     def successors(self, v: str) -> tuple[Edge, ...]:
         return self.adjacency[v]
@@ -157,7 +181,7 @@ class TaskGraph:
 
     @cached_property
     def topo_order(self) -> tuple[str, ...]:
-        indeg = {v: 0 for v in self.vertices}
+        indeg = dict.fromkeys(self.vertices, 0)
         for e in self.edges:
             indeg[e.head] += 1
         queue = deque(v for v in self.vertices if indeg[v] == 0)
@@ -165,10 +189,10 @@ class TaskGraph:
         while queue:
             v = queue.popleft()
             order.append(v)
-            for e in self.adjacency[v]:
-                indeg[e.head] -= 1
-                if indeg[e.head] == 0:
-                    queue.append(e.head)
+            for head, _ in self.arcs[v]:
+                indeg[head] -= 1
+                if indeg[head] == 0:
+                    queue.append(head)
         if len(order) != len(self.vertices):
             raise CycleDetected("cycle among validated vertices")
         return tuple(order)
@@ -178,14 +202,14 @@ class TaskGraph:
         """Per-vertex staircases, each merged from its successors' staircases
         shifted by one edge (bicriteria label setting, Hansen 1980)."""
         tables = {self.sink: HopCostTable((0,), (0,))}
+        arcs = self.arcs
         for v in reversed(self.topo_order):
             if v == self.sink:
                 continue
             best: dict[int, int] = {}  # successor's length -> cheapest cost through v
-            for e in self.adjacency[v]:
-                edge = self.units(e.cost)
-                head = tables[e.head]
-                for length, cost in zip(head.lengths, head.costs):
+            for head, edge in arcs[v]:
+                table = tables[head]
+                for length, cost in zip(table.lengths, table.costs):
                     cost += edge
                     if cost < best.get(length, cost + 1):
                         best[length] = cost
@@ -219,7 +243,9 @@ def validate(data: Mapping) -> TaskGraph:
 
     Vertices that lie on no source->sink path are pruned (recorded in
     ``graph.pruned``) rather than rejected.  Parallel edges keep the cheapest
-    copy; self loops count as cycles.
+    copy; self loops count as cycles.  The work is on vertex positions in the
+    input list: each tail's kept edges are emitted in head order, so the
+    edges come out sorted by (tail, head) position without a global sort.
     """
     if not isinstance(data, Mapping):
         raise ValueError("graph description must be a JSON object")
@@ -235,22 +261,23 @@ def validate(data: Mapping) -> TaskGraph:
     if not all(isinstance(v, str) for v in [*raw_vertices, source, sink]):
         raise ValueError("vertex ids must be strings")
 
-    if len(set(raw_vertices)) != len(raw_vertices):
+    position = {v: i for i, v in enumerate(raw_vertices)}
+    if len(position) != len(raw_vertices):
         raise ValueError("duplicate vertex ids")
-    known = set(raw_vertices)
-    if source not in known or sink not in known:
+    if source not in position or sink not in position:
         raise NoSourceSinkPath("source or sink not among vertices")
     if source == sink:
         raise NoSourceSinkPath("source equals sink")
 
-    best: dict[tuple[str, str], Fraction] = {}
+    out: list[dict[int, Fraction]] = [{} for _ in raw_vertices]  # tail -> head -> cheapest cost
     parsed: dict[str, Fraction] = {}  # each distinct cost string is parsed once
     for item in raw_edges:
         try:
             tail, head = item["from"], item["to"]
         except TypeError:
             raise ValueError(f"edge {item!r} must be a JSON object") from None
-        if not (isinstance(tail, str) and tail in known and isinstance(head, str) and head in known):
+        if not (isinstance(tail, str) and tail in position
+                and isinstance(head, str) and head in position):
             raise ValueError(f"edge {tail}->{head} uses unknown vertex")
         if tail == head:
             raise CycleDetected(f"self loop at {tail}")
@@ -261,40 +288,37 @@ def validate(data: Mapping) -> TaskGraph:
                 cost = parsed[raw] = parse_cost(raw)
         else:
             cost = parse_cost(raw)
-        key = (tail, head)
-        if key not in best or cost < best[key]:
-            best[key] = cost
+        heads, h = out[position[tail]], position[head]
+        if h not in heads or cost < heads[h]:
+            heads[h] = cost
 
-    fwd: dict[str, list[str]] = {v: [] for v in raw_vertices}
-    back: dict[str, list[str]] = {v: [] for v in raw_vertices}
-    for (tail, head) in best:
-        fwd[tail].append(head)
-        back[head].append(tail)
+    back: list[list[int]] = [[] for _ in raw_vertices]
+    for tail, heads in enumerate(out):
+        for h in heads:
+            back[h].append(tail)
 
-    def reachable(start: str, adj: dict[str, list[str]]) -> set[str]:
-        seen = {start}
+    def reachable(start: int, adj) -> list[bool]:
+        seen = [False] * len(raw_vertices)
+        seen[start] = True
         queue = deque([start])
         while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
+            for w in adj[queue.popleft()]:
+                if not seen[w]:
+                    seen[w] = True
                     queue.append(w)
         return seen
 
-    from_source = reachable(source, fwd)
-    if sink not in from_source:
+    from_source = reachable(position[source], out)
+    if not from_source[position[sink]]:
         raise NoSourceSinkPath(f"no path from {source} to {sink}")
-    to_sink = reachable(sink, back)
-    keep = from_source & to_sink
+    keep = [a and b for a, b in zip(from_source, reachable(position[sink], back))]
 
-    vertices = tuple(v for v in raw_vertices if v in keep)
-    pruned = tuple(v for v in raw_vertices if v not in keep)
-    order = {v: i for i, v in enumerate(vertices)}
+    vertices = tuple(v for v, kept in zip(raw_vertices, keep) if kept)
+    pruned = tuple(v for v, kept in zip(raw_vertices, keep) if not kept)
     edges = tuple(
-        Edge(tail, head, cost)
-        for (tail, head), cost in sorted(best.items(), key=lambda kv: (order.get(kv[0][0], -1), order.get(kv[0][1], -1)))
-        if tail in keep and head in keep
+        Edge(raw_vertices[tail], raw_vertices[head], heads[head])
+        for tail, heads in enumerate(out) if keep[tail]
+        for head in sorted(heads) if keep[head]
     )
 
     graph = TaskGraph(vertices, edges, source, sink, pruned)
@@ -316,10 +340,10 @@ def first_path(graph: TaskGraph, length: int, cost: int, suffix_cost) -> PathRec
     seq = [graph.source]
     remaining, budget = cost, length
     while seq[-1] != graph.sink:
-        for e in graph.successors(seq[-1]):
-            rest = suffix_cost(e.head, budget - 1)
-            if rest is not None and graph.units(e.cost) + rest == remaining:
-                seq.append(e.head)
+        for head, edge in graph.arcs[seq[-1]]:
+            rest = suffix_cost(head, budget - 1)
+            if rest is not None and edge + rest == remaining:
+                seq.append(head)
                 remaining, budget = rest, budget - 1
                 break
         else:  # pragma: no cover - the tables guarantee a witness
@@ -337,9 +361,8 @@ def cheapest_per_length(graph: TaskGraph) -> dict[int, PathRecord]:
     exact: dict[str, dict[int, int]] = {graph.sink: {0: 0}}
     for v in reversed(graph.topo_order):
         row = exact.setdefault(v, {})
-        for e in graph.adjacency[v]:
-            edge = graph.units(e.cost)
-            for length, cost in exact[e.head].items():
+        for head, edge in graph.arcs[v]:
+            for length, cost in exact[head].items():
                 cand = edge + cost
                 if length + 1 not in row or cand < row[length + 1]:
                     row[length + 1] = cand

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import gcd
+from typing import Mapping
 
 import pytest
 
 from biasgraph import AgentConfig, FanSpec, TaskGraph, TraversalState, make_fan, make_named_instance, validate
+from biasgraph.errors import CycleDetected, NoSourceSinkPath
+from biasgraph.graph import Edge, parse_cost
 from biasgraph.oracle import random_layered_graph
 
 
@@ -74,6 +78,90 @@ def reference_staircases(graph: TaskGraph) -> dict[str, list[tuple[int, Fraction
             if not stairs[v] or row[length] < stairs[v][-1][1]:
                 stairs[v].append((length, row[length]))
     return stairs
+
+
+def reference_validate(data: Mapping) -> TaskGraph:
+    """The string-keyed validate with one global edge sort, kept as the
+    reference the position-based ``validate`` must agree with."""
+    if not isinstance(data, Mapping):
+        raise ValueError("graph description must be a JSON object")
+    try:
+        raw_vertices = list(data["vertices"])
+        raw_edges = list(data["edges"])
+        source = data["source"]
+        sink = data["sink"]
+    except KeyError as exc:
+        raise ValueError(f"graph description missing key {exc}") from None
+    except TypeError:
+        raise ValueError("graph vertices and edges must be lists") from None
+    if not all(isinstance(v, str) for v in [*raw_vertices, source, sink]):
+        raise ValueError("vertex ids must be strings")
+
+    if len(set(raw_vertices)) != len(raw_vertices):
+        raise ValueError("duplicate vertex ids")
+    known = set(raw_vertices)
+    if source not in known or sink not in known:
+        raise NoSourceSinkPath("source or sink not among vertices")
+    if source == sink:
+        raise NoSourceSinkPath("source equals sink")
+
+    best: dict[tuple[str, str], Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # each distinct cost string is parsed once
+    for item in raw_edges:
+        try:
+            tail, head = item["from"], item["to"]
+        except TypeError:
+            raise ValueError(f"edge {item!r} must be a JSON object") from None
+        if not (isinstance(tail, str) and tail in known and isinstance(head, str) and head in known):
+            raise ValueError(f"edge {tail}->{head} uses unknown vertex")
+        if tail == head:
+            raise CycleDetected(f"self loop at {tail}")
+        raw = item["cost"]
+        if isinstance(raw, str):
+            cost = parsed.get(raw)
+            if cost is None:
+                cost = parsed[raw] = parse_cost(raw)
+        else:
+            cost = parse_cost(raw)
+        key = (tail, head)
+        if key not in best or cost < best[key]:
+            best[key] = cost
+
+    fwd: dict[str, list[str]] = {v: [] for v in raw_vertices}
+    back: dict[str, list[str]] = {v: [] for v in raw_vertices}
+    for (tail, head) in best:
+        fwd[tail].append(head)
+        back[head].append(tail)
+
+    def reachable(start: str, adj: dict[str, list[str]]) -> set[str]:
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return seen
+
+    from_source = reachable(source, fwd)
+    if sink not in from_source:
+        raise NoSourceSinkPath(f"no path from {source} to {sink}")
+    to_sink = reachable(sink, back)
+    keep = from_source & to_sink
+
+    vertices = tuple(v for v in raw_vertices if v in keep)
+    pruned = tuple(v for v in raw_vertices if v not in keep)
+    order = {v: i for i, v in enumerate(vertices)}
+    edges = tuple(
+        Edge(tail, head, cost)
+        for (tail, head), cost in sorted(best.items(), key=lambda kv: (order.get(kv[0][0], -1), order.get(kv[0][1], -1)))
+        if tail in keep and head in keep
+    )
+
+    graph = TaskGraph(vertices, edges, source, sink, pruned)
+    graph.topo_order  # raises CycleDetected on cyclic survivors
+    return graph
 
 
 def hop_cost(graph: TaskGraph, v: str, k: int | None = None) -> Fraction | None:

@@ -47,6 +47,40 @@ def test_hop_tables_is_a_cached_property():
     assert copy.hop_tables.keys() == graph.hop_tables.keys()
 
 
+def test_tracing_install_records_spans_and_undoes_its_patches():
+    """perfbench/tracing.py, unedited, patches the program, records the spans
+    and counters of a walk, an equilibrium check and a reward set, probes the
+    hop-table memory, and puts every attribute back."""
+    from biasgraph import agents, equilibria, graph as bgraph
+    from biasgraph.graph import PathRecord
+
+    tracing = _tracing()
+    owners = [m for name, m in sys.modules.items() if name.startswith("biasgraph.")]
+    owners += [TaskGraph, IntervalSet]
+    originals = [(owner, dict(vars(owner))) for owner in owners]
+    text = build_graph([("s", "a", 1), ("a", "t", 2), ("s", "t", 4), ("a", "b", 0),
+                        ("b", "t", "5/2")]).to_json()
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        graph = bgraph.load_graph(text)
+        trace = agents.traverse(graph, agents.AgentConfig(2))
+        q = PathRecord.from_vertices(graph, ("s", "a", "t"))
+        equilibria.check_symmetric_ne(graph, q, 1, 2)
+        equilibria.feasible_rewards(graph, trace.path, 2)
+        tracer.run_probe()
+    finally:
+        patches.undo()
+    for span in ("graph.validate", "graph.hop_tables", "agents.traverse"):
+        assert span in tracer.self_s, span
+    assert tracer.counts["agents.traverse_steps"] > 0
+    assert tracer.hop_tables_peak_mb > 0
+    for owner, attributes in originals:
+        assert vars(owner).keys() == attributes.keys(), owner
+        for attr, value in attributes.items():
+            assert vars(owner)[attr] is value, (owner, attr)
+
+
 def test_interval_set_names():
     for attr in ("intersect", "nonnegative", "empty"):
         assert callable(getattr(IntervalSet, attr, None)), attr

@@ -354,6 +354,25 @@ def test_bne_work_past_its_bound_exits_2_at_once(capsys, argv):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("suite", ["prop1", "alg1"])
+def test_verify_scale_past_its_bound_exits_2_at_once(capsys, suite):
+    argv = ["verify", "--suite", suite, "--scale", "1e12"]
+    # in a child first, so that a missing bound fails by timeout instead of hanging the run
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "biasgraph.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=15)
+    assert proc.returncode == 2 and proc.stdout == ""
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --scale is 1000000000000.0, above its bound {cli.MAX_VERIFY_SCALE}\n"
+    assert proc.stderr == captured.err
+    assert elapsed < 1.0
+
+
 def test_bne_competitor_bound_is_inclusive(capsys):
     code, out = invoke(capsys, "bne-fan-multi", *_ER_FAN, "--m", "100", "--r", "8")
     assert code == 0

@@ -404,6 +404,17 @@ def two_interval_graph():
     return build_graph(edges, vertices=["s"] + [f"v{i}" for i in range(8)] + ["t"])
 
 
+@pytest.mark.parametrize("vertices", [("s", "z", "t"), ("s", "v", "q", "t"), ("s", "v", "t")])
+def test_path_off_the_graph_raises_key_error(fig1, vertices):
+    graph, _ = fig1
+    q = PathRecord(vertices, Fraction(1), len(vertices) - 1)  # not through from_vertices
+    u, v = next((u, v) for u, v in zip(vertices, vertices[1:])
+                if (u, v) not in {(e.tail, e.head) for e in graph.edges})
+    for reward_set in (feasible_rewards, algorithm_breakpoints):
+        with pytest.raises(KeyError, match=f"no edge {u}->{v}"):
+            reward_set(graph, q, 2)
+
+
 class TestFeasibleRewardsSweep:
     def test_two_interval_reward_set(self):
         graph = two_interval_graph()

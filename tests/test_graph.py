@@ -20,10 +20,10 @@ from biasgraph import (
     make_named_instance,
     validate,
 )
-from biasgraph.graph import parse_cost
+from biasgraph.graph import HopCostTable, parse_cost
 from biasgraph.oracle import enumerate_paths, random_layered_graph
 
-from conftest import build_graph, coprime_graph, hop_cost, reference_staircases
+from conftest import build_graph, coprime_graph, hop_cost, reference_staircases, reference_validate
 
 
 class TestValidate:
@@ -141,6 +141,16 @@ class TestHopBoundedCheapest:
                     assert any_ <= le
                 if lt is not None:
                     assert le <= lt
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.tuples(st.integers(0, 12), st.integers(-50, 50)),
+                          min_size=1, max_size=8))
+    def test_cases_is_three_at_most_lookups(self, steps):
+        lengths = sorted({k for k, _ in steps})
+        costs = sorted({c for _, c in steps}, reverse=True)[:len(lengths)]
+        table = HopCostTable(tuple(lengths[:len(costs)]), tuple(costs))
+        for b in range(-1, table.lengths[-1] + 2):
+            assert table.cases(b) == (table.costs[-1], table.at_most(b), table.at_most(b - 1))
 
     def test_staircase_invariants(self, fig1):
         rng = np.random.default_rng(13)
@@ -284,5 +294,56 @@ class TestPathRecord:
 
     def test_rejects_non_edges(self, fig1):
         graph, _ = fig1
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no edge s->z"):
             PathRecord.from_vertices(graph, ("s", "z", "t"))
+        with pytest.raises(KeyError, match="no edge x->q"):
+            PathRecord.from_vertices(graph, ("s", "x", "q", "t"))
+
+
+_POOL = ["s", "a", "b", "c", "d", "t"]
+_COSTS = st.sampled_from([0, 1, 3, "0", "1/2", "2/3", "0.75", "3", "5/6", "7"])
+_JUNK = st.sampled_from([None, 1.5, -1, "-1", "1/0", "x", [], {}, {"from": "s"}, True, ""])
+
+
+@st.composite
+def _documents(draw):
+    """A graph document over a shuffled subset of six vertices: random forward
+    edges with parallel copies at other costs, integer and string costs, dead
+    ends and unreachable vertices; now and then a backward edge or self loop.
+    One draw in four replaces one field with junk."""
+    vertices = draw(st.permutations(_POOL))[:draw(st.integers(2, len(_POOL)))]
+    for v in ("s", "t"):
+        if v not in vertices and draw(st.integers(0, 9)) < 9:
+            vertices.insert(draw(st.integers(0, len(vertices))), v)
+    forward = [(u, v) for i, u in enumerate(_POOL) for v in _POOL[i + 1:]
+               if u in vertices and v in vertices]
+    pairs = draw(st.lists(st.sampled_from(forward), min_size=2, max_size=14)) if forward else []
+    if draw(st.integers(0, 9)) == 9:
+        pairs.append(draw(st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL))))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    edges = draw(st.permutations([{"from": u, "to": v, "cost": draw(_COSTS)} for u, v in pairs]))
+    document = {"vertices": vertices, "edges": edges, "source": "s", "sink": "t"}
+    if draw(st.integers(0, 3)) == 3:
+        where = draw(st.sampled_from(["vertices", "edges", "source", "sink", "edge", "vertex"]))
+        if where == "edge" and edges:
+            junk = _JUNK | st.builds(lambda cost: {"from": "s", "to": "t", "cost": cost}, _JUNK)
+            edges[draw(st.integers(0, len(edges) - 1))] = draw(junk)
+        elif where == "vertex":
+            vertices[draw(st.integers(0, len(vertices) - 1))] = draw(_JUNK | st.just("s"))
+        elif where in document:
+            document[where] = draw(_JUNK)
+    return document
+
+
+def _outcome(build, document):
+    try:
+        graph = build(document)
+    except Exception as exc:  # the two must fail alike
+        return type(exc), str(exc)
+    return graph.to_json(), graph.pruned, graph.edges, graph.vertices
+
+
+@settings(max_examples=500, deadline=None)
+@given(document=_documents())
+def test_validate_matches_the_string_keyed_reference(document):
+    assert _outcome(validate, document) == _outcome(reference_validate, document)
