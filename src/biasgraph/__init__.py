@@ -28,7 +28,6 @@ from .bne import (
     closed_form_p,
     expected_inverse_share,
     fan_agent_exit,
-    fan_agent_path,
     fixed_point_p,
     lambert_w0,
     reward_share_factor,

@@ -14,8 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .graph import PathRecord, TaskGraph
-from .instances import FanSpec, fan_path, make_fan
+from .instances import FanSpec
 
 _PROFILE_TOL = 1e-12
 _BISECT_TOL = 1e-12
@@ -134,18 +133,6 @@ def fan_agent_exit(spec: FanSpec, bias: float, opponent: FanOpponentProfile, rew
     return spec.n
 
 
-def fan_agent_path(
-    spec: FanSpec,
-    bias: float,
-    opponent: FanOpponentProfile,
-    reward: float,
-    graph: TaskGraph | None = None,
-) -> PathRecord:
-    if graph is None:
-        graph = make_fan(spec)
-    return fan_path(graph, fan_agent_exit(spec, bias, opponent, reward))
-
-
 def lambert_w0(x: float) -> float:
     """Principal Lambert W on (-1/e, 0] by Halley iteration."""
     if x > 0 or x <= -1.0 / math.e:
@@ -249,22 +236,25 @@ def fixed_point_p(dist: BiasDistribution, reward: float, competitors: int = 1) -
     )
 
 
-def _check_support(spec: FanSpec, dist: BiasDistribution) -> None:
-    if abs(dist.lower - float(spec.c)) > 1e-12:
+def _solve(spec: FanSpec, dist: BiasDistribution, reward: float, m: int,
+           threshold) -> FanBneSolution:
+    """Cutoff equilibrium with m competitors: largest p in (0,1] with
+    F(r*d(p, m) + c) = p.  ``threshold(c**(n-1))`` is the validity bound."""
+    c = float(spec.c)
+    if abs(dist.lower - c) > 1e-12:
         raise ValueError("distribution support must start at the fan growth factor")
-
-
-def _solution(spec: FanSpec, dist: BiasDistribution, p: float | None,
-              cutoff_of, threshold: float, competitors: int) -> FanBneSolution:
-    c_pow_n = float(spec.c) ** spec.n
-    if p is None:
-        return FanBneSolution(0.0, cutoff_of(0.0), threshold, False, c_pow_n,
-                              0.0, False, competitors)
-    cutoff = cutoff_of(p)
-    residual = abs(dist.cdf(cutoff) - p)
-    ratio = p + (1.0 - p) * c_pow_n
-    return FanBneSolution(p, cutoff, threshold, p > threshold, ratio,
-                          residual, True, competitors)
+    try:
+        c_pow_n = c**spec.n
+    except OverflowError:
+        raise ValueError(f"c**n overflows a float at c = {spec.c}, n = {spec.n}") from None
+    bound = threshold(c ** (spec.n - 1))
+    p = fixed_point_p(dist, reward, m)
+    found = p is not None
+    p = p if found else 0.0
+    cutoff = reward * reward_share_factor(p, m) + c
+    residual = abs(dist.cdf(cutoff) - p) if found else 0.0
+    return FanBneSolution(p, cutoff, bound, p > bound, p + (1.0 - p) * c_pow_n, residual,
+                          found, m)
 
 
 def solve_fan_bne(spec: FanSpec, dist: BiasDistribution, reward: float) -> FanBneSolution:
@@ -273,25 +263,18 @@ def solve_fan_bne(spec: FanSpec, dist: BiasDistribution, reward: float) -> FanBn
     The solution is valid (delayers really delay to the last exit) when
     p > 1/(c**(n-1) + 1); otherwise it is returned with ``valid=False``.
     """
-    _check_support(spec, dist)
-    c = float(spec.c)
-    p = fixed_point_p(dist, reward, 1)
-    threshold = 1.0 / (c ** (spec.n - 1) + 1.0)
-    return _solution(spec, dist, p, lambda p: reward * p / 2.0 + c, threshold, 1)
+    return _solve(spec, dist, reward, 1, lambda c_pow: 1.0 / (c_pow + 1.0))
 
 
 def solve_fan_bne_multi(
     spec: FanSpec, dist: BiasDistribution, reward: float, competitors: int
 ) -> FanBneSolution:
     """Cutoff equilibrium with m competitors per agent (m + 1 players total)."""
-    if competitors < 1:
-        raise ValueError("need at least one competitor")
-    _check_support(spec, dist)
-    c = float(spec.c)
     m = competitors
-    p = fixed_point_p(dist, reward, m)
-    threshold = math.log(1.0 + m + (m + 1) / (2.0 * c ** (spec.n - 1))) / m
-    return _solution(spec, dist, p, lambda p: reward * reward_share_factor(p, m) + c, threshold, m)
+    if m < 1:
+        raise ValueError("need at least one competitor")
+    return _solve(spec, dist, reward, m,
+                  lambda c_pow: math.log(1.0 + m + (m + 1) / (2.0 * c_pow)) / m)
 
 
 def closed_form_p(dist: BiasDistribution, reward: float) -> float:

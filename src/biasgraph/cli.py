@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -44,6 +45,9 @@ MAX_SWEEP_STEPS = 100
 # alg1, runs for 46-47 s on a 2-core Xeon.  verify.run_suite itself takes
 # any scale.
 MAX_VERIFY_SCALE = 100
+# A fan has n + 2 vertices and its exit costs grow like c**n, so a fan past
+# this bound is refused before any of it is built.
+MAX_FAN_N = 1000
 
 
 def _round_floats(obj):
@@ -75,6 +79,11 @@ def _rational(text: str) -> Fraction:
 def _at_most(option: str, value: int, bound: int) -> None:
     if value > bound:
         raise ValueError(f"{option} is {value}, above its bound {bound}")
+
+
+def _fan_spec(args) -> FanSpec:
+    _at_most("--n", args.n, MAX_FAN_N)
+    return FanSpec(args.n, args.c)
 
 
 def _dist_from_args(args) -> BiasDistribution:
@@ -199,7 +208,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.generator == "fan":
-        graph = make_fan(FanSpec(args.n, args.c))
+        spec = _fan_spec(args)
+        limit = sys.get_int_max_str_digits()
+        digits = spec.n * math.log10(max(spec.c.numerator, spec.c.denominator))
+        if limit and digits >= limit:
+            raise ValueError(f"--c to the power --n would have more than {limit} digits; "
+                             "lower --n or --c")
+        graph = make_fan(spec)
     elif args.generator == "mod3fan":
         graph, _ = make_named_instance("modified_3fan", args.c, args.c2, args.c3)
     else:
@@ -273,14 +288,14 @@ def _cmd_unbiased_eq(args) -> int:
 
 
 def _cmd_bne_fan(args) -> int:
-    spec = FanSpec(args.n, args.c)
+    spec = _fan_spec(args)
     solution = solve_fan_bne(spec, _dist_from_args(args), float(args.r))
     _emit(_solution_payload(solution))
     return EXIT_OK if solution.found else EXIT_EMPTY
 
 
 def _cmd_bne_fan_multi(args) -> int:
-    spec = FanSpec(args.n, args.c)
+    spec = _fan_spec(args)
     if (args.r is None) == (args.per_agent_s is None):
         raise ValueError("give exactly one of --r or --per-agent-s")
     _at_most("--m", args.m, MAX_COMPETITORS)
@@ -294,7 +309,7 @@ def _cmd_bne_fan_multi(args) -> int:
 
 
 def _cmd_bne_sweep(args) -> int:
-    spec = FanSpec(args.n, args.c)
+    spec = _fan_spec(args)
     dist = _dist_from_args(args)
     lo, hi = float(args.r_min), float(args.r_max)
     if args.steps < 2 or hi < lo:
@@ -355,7 +370,9 @@ def run(argv: list[str]) -> int:
         return _HANDLERS[args.command](args)
     except (BiasGraphError, ValueError, ZeroDivisionError, OverflowError, KeyError, OSError,
             json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -165,7 +165,7 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
     path = PathRecord.from_vertices(graph, seq)
     if path.cost != graph.cheapest_cost(graph.source):
         raise NoDominantPath("the uniquely quickest path is not a cheapest path")
-    max_edge = max(graph.edge_cost(u, v) for u, v in zip(seq, seq[1:]))
+    max_edge = Fraction(max(graph.arc_cost(u, v) for u, v in zip(seq, seq[1:])), graph.unit)
     return DominantPathReward(path, max_edge, agents * bias * max_edge, agents)
 
 

@@ -139,14 +139,11 @@ class TaskGraph:
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[Edge, ...]]:
+        """Each vertex's out-edges as ``Edge``s, in ``edges`` order (head order)."""
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             out[e.tail].append(e)
-        return {v: tuple(sorted(es, key=lambda e: self.index[e.head])) for v, es in out.items()}
-
-    @cached_property
-    def edge_costs(self) -> dict[tuple[str, str], Fraction]:
-        return {(e.tail, e.head): e.cost for e in self.edges}
+        return {v: tuple(es) for v, es in out.items()}
 
     @cached_property
     def arcs(self) -> dict[str, tuple[tuple[str, int], ...]]:
@@ -174,10 +171,11 @@ class TaskGraph:
         return self.adjacency[v]
 
     def edge_cost(self, u: str, v: str) -> Fraction:
-        try:
-            return self.edge_costs[(u, v)]
-        except KeyError:
-            raise KeyError(f"no edge {u}->{v}") from None
+        """The cost of the edge u->v, read from ``adjacency[u]``."""
+        for e in self.adjacency.get(u, ()):
+            if e.head == v:
+                return e.cost
+        raise KeyError(f"no edge {u}->{v}")
 
     @cached_property
     def topo_order(self) -> tuple[str, ...]:

@@ -24,27 +24,32 @@ class FanSpec:
             raise ValueError("fan growth factor must exceed 1")
 
 
-def make_fan(spec: FanSpec) -> TaskGraph:
-    """Build the n-fan.
+def _fan(exit_costs: list[Fraction]) -> TaskGraph:
+    """The fan with a free spine s->v1->..->vn, exits (vi, t) of the given
+    costs and a direct edge (s, t) of cost 1.
 
     The sink is registered right after the source so that an agent indifferent
     between finishing and delaying resolves the tie toward finishing.
     """
-    vertices = ["s", "t"] + [f"v{i}" for i in range(1, spec.n + 1)]
-    edges = [{"from": "s", "to": "t", "cost": "1"}, {"from": "s", "to": "v1", "cost": "0"}]
-    for i in range(1, spec.n):
-        edges.append({"from": f"v{i}", "to": f"v{i+1}", "cost": "0"})
-    for i in range(1, spec.n + 1):
-        edges.append({"from": f"v{i}", "to": "t", "cost": str(spec.c**i)})
-    return validate({"vertices": vertices, "edges": edges, "source": "s", "sink": "t"})
+    spine = ["s"] + [f"v{i}" for i in range(1, len(exit_costs) + 1)]
+    edges = [{"from": "s", "to": "t", "cost": "1"}]
+    edges += [{"from": u, "to": v, "cost": "0"} for u, v in zip(spine, spine[1:])]
+    edges += [{"from": v, "to": "t", "cost": str(cost)} for v, cost in zip(spine[1:], exit_costs)]
+    return validate({"vertices": ["s", "t", *spine[1:]], "edges": edges,
+                     "source": "s", "sink": "t"})
+
+
+def make_fan(spec: FanSpec) -> TaskGraph:
+    """Build the n-fan: exit i costs c**i."""
+    return _fan([spec.c**i for i in range(1, spec.n + 1)])
 
 
 def fan_path(graph: TaskGraph, exit_index: int) -> PathRecord:
     """P_i on a fan graph: the path leaving through (v_i, t); P_0 is (s, t)."""
-    if exit_index == 0:
-        return PathRecord.from_vertices(graph, ("s", "t"))
-    seq = ["s"] + [f"v{j}" for j in range(1, exit_index + 1)] + ["t"]
-    return PathRecord.from_vertices(graph, seq)
+    # s, v1, .., v_|V| cannot all be vertices, so a longer spine fails at the
+    # same missing edge, without first building one name per index.
+    spine = [f"v{j}" for j in range(1, min(exit_index, len(graph.vertices)) + 1)]
+    return PathRecord.from_vertices(graph, ["s", *spine, "t"])
 
 
 def resolve_path(graph: TaskGraph, text: str) -> PathRecord:
@@ -153,22 +158,7 @@ def make_named_instance(
         c, c2, c3 = Fraction(c), Fraction(c2), Fraction(c3)
         if not (1 < c and c * c < c2 and c2 * c2 < c3):
             raise ValueError("need 1 < c, c^2 < c2, c2^2 < c3")
-        graph = validate(
-            {
-                "vertices": ["s", "t", "v1", "v2", "v3"],
-                "edges": [
-                    {"from": "s", "to": "t", "cost": "1"},
-                    {"from": "s", "to": "v1", "cost": "0"},
-                    {"from": "v1", "to": "v2", "cost": "0"},
-                    {"from": "v2", "to": "v3", "cost": "0"},
-                    {"from": "v1", "to": "t", "cost": str(c)},
-                    {"from": "v2", "to": "t", "cost": str(c2)},
-                    {"from": "v3", "to": "t", "cost": str(c3)},
-                ],
-                "source": "s",
-                "sink": "t",
-            }
-        )
+        graph = _fan([c, c2, c3])
         meta = {"paths": {f"P{i}": fan_path(graph, i).vertices for i in range(4)}}
         return graph, meta
     raise UnknownInstance(f"unknown instance {name!r}")

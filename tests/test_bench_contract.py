@@ -132,6 +132,21 @@ def test_benchmark_attribute_reads_resolve():
         assert read in found, read
 
 
+def test_workloads_set_up_and_pass_one_round(monkeypatch):
+    """perfbench/workloads.py, unedited, sets up the three in-process workloads
+    at seed 1 and accepts every answer of their first round, so a change that
+    breaks a workload's set-up or its checks fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for workload in (workloads.VerifySuites(1), workloads.DagCold(1), workloads.DagWarm(1)):
+        try:
+            for index, op in enumerate(workload.ops(0)):
+                workload.check(index, op())
+        finally:
+            workload.close()
+
+
 def test_selftest_passes():
     """perfbench/selftest.py, unedited, accepts the program's answers and set-up
     paths, so a change that breaks the benchmark's set-up fails here."""

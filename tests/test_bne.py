@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from biasgraph import (
     closed_form_p,
     expected_inverse_share,
     fan_agent_exit,
-    fan_agent_path,
+    fan_path,
     fixed_point_p,
     lambert_w0,
     make_fan,
@@ -65,13 +66,13 @@ class TestFanAgent:
     def test_exits_immediately_when_reward_covers_gap(self):
         spec = FanSpec(3, F(2))
         opp = FanOpponentProfile.point_mass(0, 3)
-        path = fan_agent_path(spec, 2.5, opp, 2.0)
+        path = fan_path(make_fan(spec), fan_agent_exit(spec, 2.5, opp, 2.0))
         assert path.vertices == ("s", "t")
 
     def test_delays_fully_once_past_source(self):
         spec = FanSpec(3, F(2))
         opp = FanOpponentProfile.point_mass(0, 3)
-        path = fan_agent_path(spec, 3.5, opp, 2.0)
+        path = fan_path(make_fan(spec), fan_agent_exit(spec, 3.5, opp, 2.0))
         assert path.vertices == ("s", "v1", "v2", "v3", "t")
 
     def test_no_reward_reduces_to_plain_fan(self):
@@ -90,7 +91,7 @@ class TestFanAgent:
         spec = FanSpec(3, F(2))
         graph = make_fan(spec)
         opp = FanOpponentProfile.point_mass(0, 3)
-        assert fan_agent_path(spec, 2.5, opp, 2.0, graph=graph).vertices == ("s", "t")
+        assert fan_path(graph, fan_agent_exit(spec, 2.5, opp, 2.0)).vertices == ("s", "t")
 
 
 class TestSolver:
@@ -260,15 +261,21 @@ class TestShareFactorBits:
 
 class TestMultiAgent:
     def test_one_competitor_reproduces_two_agent_solver(self):
-        spec = FanSpec(5, F(2))
-        for r in (3.0, 4.0, 9.0):
-            for dist in (
-                BiasDistribution.equal_revenue(2.0),
-                BiasDistribution.shifted_exponential(2.0, 1.0),
-            ):
-                two = solve_fan_bne(spec, dist, r)
-                multi = solve_fan_bne_multi(spec, dist, r, 1)
-                assert abs(two.prob_optimal - multi.prob_optimal) <= 1e-10
+        """At m = 1 the two solvers agree bit for bit on every field but the
+        validity threshold (and so ``valid``), whose formulas differ."""
+        for n in range(1, 9):
+            for c in (F(5, 4), F(3, 2), F(2), F(3)):
+                spec, lo = FanSpec(n, c), float(c)
+                for dist in (
+                    BiasDistribution.equal_revenue(lo),
+                    BiasDistribution.uniform(lo, lo + 2.0),
+                    BiasDistribution.shifted_exponential(lo, 1.0),
+                ):
+                    for r in (0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 9.0, 20.0):
+                        two = solve_fan_bne(spec, dist, r)
+                        multi = solve_fan_bne_multi(spec, dist, r, 1)
+                        assert dataclasses.replace(multi, threshold=two.threshold,
+                                                   valid=two.valid) == two, (n, c, dist, r)
 
     def test_equal_revenue_capped_by_limit_bound(self):
         spec = FanSpec(5, F(2))

@@ -1,9 +1,10 @@
 """The bne commands print, byte for byte, the text recorded in bne_stdout.json.
 
-The commands are README's bne examples, `bne-sweep` in both formats, and a
-grid over the fan sizes, growth factors, rewards and competitor counts that
-the benchmark's `cli-cold` workload draws from.  To record the file from the
-tree on the path:
+The commands are README's bne examples, `bne-sweep` in both formats, a grid
+over the fan sizes, growth factors, rewards and competitor counts that the
+benchmark's `cli-cold` workload draws from, `bne-fan-multi --m 1` over the
+same grid, and one run per distribution family of each solver that finds no
+nontrivial fixed point.  To record the file from the tree on the path:
 
     PYTHONPATH=src python tests/test_bne_stdout.py
 """
@@ -33,6 +34,15 @@ EXAMPLES = [
     " --m 2 --format json",
 ]
 
+# Below each family's two-agent threshold (equal-revenue r < 2, uniform
+# r < 2(d - c), exponential rate * r <= 2); at these rewards neither solver
+# finds a fixed point but the trivial p = 0.
+NOT_FOUND = [
+    f"{command} --n 5 --c 2 --dist {dist}{m}"
+    for command, m in (("bne-fan", ""), ("bne-fan-multi", " --m 2"))
+    for dist in ("equal-revenue --r 1", "uniform --d 4 --r 1", "exponential --rate 1 --r 1")
+]
+
 
 def _grid() -> list[str]:
     commands = []
@@ -45,7 +55,13 @@ def _grid() -> list[str]:
     return commands
 
 
-COMMANDS = list(dict.fromkeys(EXAMPLES + _grid()))  # README's first example is on the grid
+def _one_competitor_grid() -> list[str]:
+    return [f"bne-fan-multi --n {n} --c {c} --dist equal-revenue --m 1 --r {r}"
+            for n in range(3, 8) for c in ("5/4", "3/2", "2") for r in (3, 4, 5, 6, 8, 10)]
+
+
+# README's first example is on the grid, and its third is in NOT_FOUND.
+COMMANDS = list(dict.fromkeys(EXAMPLES + _grid() + _one_competitor_grid() + NOT_FOUND))
 
 
 def _run(command: str) -> list:

@@ -373,6 +373,61 @@ def test_verify_scale_past_its_bound_exits_2_at_once(capsys, suite):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["gen", "fan", "--n", "20000", "--c", "2"], ["--n", f"bound {cli.MAX_FAN_N}"]),
+    (["gen", "fan", "--n", "44", "--c", "1e100"], ["--c", "--n", "4300 digits"]),
+    (["bne-fan", "--n", "1001", "--c", "2", "--dist", "equal-revenue", "--r", "4"],
+     ["--n", f"bound {cli.MAX_FAN_N}"]),
+    (["bne-fan-multi", "--n", "1200", "--c", "2", "--dist", "equal-revenue", "--m", "2",
+      "--r", "6"], ["--n", f"bound {cli.MAX_FAN_N}"]),
+    (["bne-sweep", "--n", "5000", "--c", "3/2", "--dist", "equal-revenue", "--r-min", "2",
+      "--r-max", "6"], ["--n", f"bound {cli.MAX_FAN_N}"]),
+    (["bne-fan", "--n", "500", "--c", "10", "--dist", "equal-revenue", "--r", "4"],
+     ["c**n", "c = 10", "n = 500"]),
+])
+def test_fan_too_large_exits_2_at_once_naming_its_options(capsys, argv, names):
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    for name in names:
+        assert name in captured.err, name
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "fan", "--n", str(cli.MAX_FAN_N), "--c", "2"],
+    ["gen", "fan", "--n", "42", "--c", "1e100"],
+    ["bne-fan", "--n", str(cli.MAX_FAN_N), "--c", "2", "--dist", "equal-revenue", "--r", "4"],
+])
+def test_fan_bounds_are_inclusive(capsys, argv):
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
+def test_missing_edge_error_has_no_quotes(capsys, tmp_path):
+    fan = write_fan(tmp_path, n=4, c="2")
+    code = run(["ne-check", "--graph", fan, "--path", "P9", "--bias", "3", "--reward", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no edge v4->v5\n"
+
+
+def test_fan_shorthand_past_the_graph_fails_at_once(capsys, tmp_path):
+    fan = write_fan(tmp_path, n=4, c="2")
+    start = time.perf_counter()
+    code = run(["ne-check", "--graph", fan, "--path", "P10000000", "--bias", "3",
+                "--reward", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == "error: no edge v4->v5\n"
+    assert elapsed < 1.0
+
+
 def test_bne_competitor_bound_is_inclusive(capsys):
     code, out = invoke(capsys, "bne-fan-multi", *_ER_FAN, "--m", "100", "--r", "8")
     assert code == 0
