@@ -200,16 +200,14 @@ def _largest_fixed_point(g) -> float | None:
     hi, g_hi = 1.0, g_one
     for i in range(1, _SCAN_POINTS + 1):
         lo = 1.0 - i / _SCAN_POINTS
-        g_lo = g(lo) if lo > 0 else 0.0
-        if lo <= 0:
+        if lo <= 0:  # the last scan point, lo = 0, always ends the scan here
             return None  # g < 0 all the way down: only the trivial root
+        g_lo = g(lo)
         if abs(g_lo) <= _BISECT_TOL:
             return lo
         if (g_lo > 0) != (g_hi > 0):
             break
         hi, g_hi = lo, g_lo
-    else:
-        return None
     for _ in range(_BISECT_MAX_ITER):
         mid = (lo + hi) / 2.0
         g_mid = g(mid)
@@ -218,7 +216,7 @@ def _largest_fixed_point(g) -> float | None:
         if (g_mid > 0) == (g_lo > 0):
             lo, g_lo = mid, g_mid
         else:
-            hi, g_hi = mid, g_mid
+            hi = mid
     return (lo + hi) / 2.0
 
 

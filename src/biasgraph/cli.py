@@ -33,7 +33,7 @@ EXIT_INVALID = 2
 EXIT_EMPTY = 3
 EXIT_VERIFY_FAILED = 4
 
-# verify.SUITES, spelled out so that building the parser does not import numpy.
+# verify.SUITES, spelled out so that building the parser does not import the oracles.
 SUITES = ("alg1", "prop1", "thm1", "thm2", "bne")
 
 # Bounds on the bne commands' work.  One fixed-point solve evaluates the share
@@ -338,7 +338,7 @@ def _cmd_bne_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     _at_most("--scale", args.scale, MAX_VERIFY_SCALE)
-    from . import verify  # imports numpy, which no other command needs
+    from . import verify  # imports the oracles, which no other command needs
 
     report = verify.run_suite(args.suite, seed=args.seed, scale=args.scale)
     _emit(report)

@@ -4,19 +4,16 @@ Everything here recomputes results from first principles (path enumeration,
 literal minimization over continuations, sampling) and shares nothing with the
 analytical modules beyond the graph and path types, so agreement between the
 two routes is meaningful evidence of correctness.  Enumeration is guarded by a
-vertex-count limit, adjustable through the BIASGRAPH_MAX_BRUTE environment
-variable.
+vertex-count limit.  Random draws come from a ``random.Random`` the caller seeds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .agents import RewardTie, TraversalState
 from .bne import BiasDistribution, FanOpponentProfile, fan_agent_exit
@@ -24,17 +21,12 @@ from .errors import TooLarge
 from .graph import PathRecord, TaskGraph, validate
 from .instances import FanSpec
 
-_DEFAULT_MAX_BRUTE = 14
-
-
-def _max_brute() -> int:
-    return int(os.environ.get("BIASGRAPH_MAX_BRUTE", _DEFAULT_MAX_BRUTE))
+_MAX_BRUTE = 14
 
 
 def _guard(graph: TaskGraph) -> None:
-    limit = _max_brute()
-    if len(graph.vertices) > limit:
-        raise TooLarge(f"{len(graph.vertices)} vertices exceeds brute-force guard {limit}")
+    if len(graph.vertices) > _MAX_BRUTE:
+        raise TooLarge(f"{len(graph.vertices)} vertices exceeds brute-force guard {_MAX_BRUTE}")
 
 
 def enumerate_paths(graph: TaskGraph, start: str | None = None) -> list[PathRecord]:
@@ -178,7 +170,7 @@ def sweep_candidates(breakpoints, extra_random: int = 0, rng=None) -> list[Fract
     if extra_random and rng is not None:
         span = int(points[-1]) + 10
         for _ in range(extra_random):
-            out.add(Fraction(int(rng.integers(0, span * 8 + 1)), 8))
+            out.add(Fraction(rng.randrange(span * 8 + 1), 8))
     return sorted(out)
 
 
@@ -218,37 +210,35 @@ def best_response_table(
 class FanFrequencies:
     counts: tuple[int, ...]
     frequencies: tuple[float, ...]
-    std_errors: tuple[float, ...]
     samples: int
 
 
-def monte_carlo_fan_bne(
-    spec: FanSpec,
-    dist: BiasDistribution,
-    reward: float,
-    cutoff: float,
-    samples: int,
-    seed: int,
+def fan_exit_frequencies(
+    spec: FanSpec, dist: BiasDistribution, reward: float, cutoff: float, samples: int
 ) -> FanFrequencies:
-    """Empirical exit frequencies against an opponent playing the cutoff rule."""
-    if samples < 10**4:
-        raise ValueError("need at least 10^4 samples")
-    rng = np.random.default_rng(seed)
+    """Exit frequencies of ``samples`` agents against an opponent playing the
+    cutoff rule, one agent at the bias quantile of each stratum midpoint
+    (k + 1/2)/samples.  For n >= 2 an agent exits at P0 exactly when its bias is
+    at most reward * F(cutoff) / 2 + c, which is the cutoff at a fixed point, so
+    counts[0] is then within 1/2 of samples * F(cutoff).
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     profile = FanOpponentProfile.two_point(dist.cdf(cutoff), spec.n)
     counts = [0] * (spec.n + 1)
-    for u in rng.random(samples):
-        bias = dist.quantile(float(u))
+    for k in range(samples):
+        bias = dist.quantile((k + 0.5) / samples)
         counts[fan_agent_exit(spec, bias, profile, reward)] += 1
-    freqs = tuple(c / samples for c in counts)
-    errs = tuple(math.sqrt(f * (1.0 - f) / samples) for f in freqs)
-    return FanFrequencies(tuple(counts), freqs, errs, samples)
+    return FanFrequencies(tuple(counts), tuple(c / samples for c in counts), samples)
 
 
 def monte_carlo_inverse_share(prob: float, competitors: int, samples: int, seed: int) -> float:
     """Sample mean of 1/(N+1) for N ~ Binomial(competitors, prob)."""
-    rng = np.random.default_rng(seed)
-    draws = rng.binomial(competitors, prob, size=samples)
-    return float(np.mean(1.0 / (draws + 1.0)))
+    m = competitors
+    cdf = list(itertools.accumulate(
+        math.comb(m, k) * prob**k * (1.0 - prob) ** (m - k) for k in range(m + 1)))
+    draws = random.Random(seed).choices(range(m + 1), cum_weights=cdf, k=samples)
+    return math.fsum(1.0 / (n + 1) for n in draws) / samples
 
 
 # Random instance generation.  Layered DAGs with rational costs from a small
@@ -266,11 +256,11 @@ def random_layered_graph(
     skip_prob: float = 0.3,
     cost_grid: tuple[Fraction, ...] = COST_GRID,
 ) -> TaskGraph:
-    n_layers = int(rng.integers(min_interior, max_interior + 1))
+    n_layers = rng.randrange(min_interior, max_interior + 1)
     widths = []
     budget = max_vertices - 2
     for _ in range(n_layers):
-        w = int(rng.integers(1, 4))
+        w = rng.randrange(1, 4)
         w = max(1, min(w, budget - (n_layers - len(widths) - 1)))
         widths.append(w)
         budget -= w
@@ -285,12 +275,12 @@ def random_layered_graph(
     edges: list[dict] = []
 
     def add_edge(u: str, v: str) -> None:
-        cost = cost_grid[int(rng.integers(0, len(cost_grid)))]
+        cost = rng.choice(cost_grid)
         edges.append({"from": u, "to": v, "cost": str(cost)})
 
     for a, b in zip(layers, layers[1:]):
         for u in a:
-            targets = {b[int(rng.integers(0, len(b)))]}
+            targets = {rng.choice(b)}
             for v in b:
                 if rng.random() < 0.45:
                     targets.add(v)
@@ -299,12 +289,11 @@ def random_layered_graph(
                     add_edge(u, v)
         for v in b:  # give stranded vertices an inbound edge
             if not any(e["to"] == v for e in edges):
-                add_edge(a[int(rng.integers(0, len(a)))], v)
+                add_edge(rng.choice(a), v)
     for i in range(len(layers) - 2):  # skip edges vary path lengths
         for u in layers[i]:
             if rng.random() < skip_prob:
-                layer = layers[i + 2]
-                add_edge(u, layer[int(rng.integers(0, len(layer)))])
+                add_edge(u, rng.choice(layers[i + 2]))
 
     return validate({"vertices": vertices, "edges": edges, "source": "s", "sink": "t"})
 
@@ -334,17 +323,17 @@ def random_dominant_graph(rng, max_vertices: int = 10) -> TaskGraph:
 
 def random_ladder_graph(rng, max_rungs: int = 6) -> TaskGraph:
     """Disjoint source->sink chains with one candidate path per length."""
-    n_chains = int(rng.integers(2, max_rungs + 1))
-    lengths = sorted(rng.choice(np.arange(1, 7), size=n_chains, replace=False).tolist())
+    n_chains = rng.randrange(2, max_rungs + 1)
+    lengths = sorted(rng.sample(range(1, 7), n_chains))
     vertices = ["s", "t"]
     edges: list[dict] = []
     for chain_no, length in enumerate(lengths):
-        cost = Fraction(int(rng.integers(0, 33)), 2)
+        cost = Fraction(rng.randrange(33), 2)
         inner = [f"c{chain_no}x{j}" for j in range(length - 1)]
         vertices.extend(inner)
         seq = ["s"] + inner + ["t"]
         split = [Fraction(0)] * length
-        split[int(rng.integers(0, length))] = cost
+        split[rng.randrange(length)] = cost
         for (u, v), piece in zip(zip(seq, seq[1:]), split):
             edges.append({"from": u, "to": v, "cost": str(piece)})
     return validate({"vertices": vertices, "edges": edges, "source": "s", "sink": "t"})

@@ -8,12 +8,12 @@ trade time for confidence.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-
-import numpy as np
 
 from . import bne, oracle
 from .agents import RewardTie
+from .bne import BiasDistribution
 from .equilibria import (
     algorithm_breakpoints,
     check_symmetric_ne,
@@ -34,7 +34,7 @@ def _dump(graph: TaskGraph, **params) -> dict:
 
 def suite_alg1(seed: int, scale: float = 1.0) -> dict:
     """Feasible-reward sets must match the brute-force reward sweep pointwise."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n_graphs = max(1, int(40 * scale))
     cases = 0
     failures: list[dict] = []
@@ -63,14 +63,14 @@ def suite_alg1(seed: int, scale: float = 1.0) -> dict:
 
 def suite_prop1(seed: int, scale: float = 1.0) -> dict:
     """Ladder classification must agree with the best-response table."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n_instances = max(1, int(100 * scale))
     cases = 0
     failures: list[dict] = []
     rewards = [Fraction(x) for x in ("0", "1/2", "1", "2", "4", "8", "16")]
     for _ in range(n_instances):
         graph = oracle.random_ladder_graph(rng)
-        reward = rewards[int(rng.integers(0, len(rewards)))]
+        reward = rng.choice(rewards)
         for tie_rule in RewardTie:
             cases += 1
             report = classify_unbiased(graph, reward, tie_rule)
@@ -97,7 +97,7 @@ def suite_prop1(seed: int, scale: float = 1.0) -> dict:
 
 def suite_thm1(seed: int, scale: float = 1.0) -> dict:
     """Fan equilibria exist exactly at the closed-form reward thresholds."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     combos = [
         (3, Fraction(3, 2), Fraction(2)),
         (4, Fraction(2), Fraction(3)),
@@ -113,7 +113,7 @@ def suite_thm1(seed: int, scale: float = 1.0) -> dict:
         lo, hi = thresholds.optimal_min_reward, thresholds.longest_max_reward
         probes = {lo, hi, lo / 2, lo + Fraction(1, 100), hi + Fraction(1, 100), hi * 2}
         for _ in range(max(1, int(8 * scale))):
-            probes.add(Fraction(int(rng.integers(0, 64)), 4))
+            probes.add(Fraction(rng.randrange(64), 4))
         for r in sorted(probes):
             cases += 1
             on_direct = bool(check_symmetric_ne(graph, fan_path(graph, 0), r, bias))
@@ -134,7 +134,7 @@ def suite_thm1(seed: int, scale: float = 1.0) -> dict:
 
 def suite_thm2(seed: int, scale: float = 1.0) -> dict:
     """The dominant-path reward bound always yields an equilibrium."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n_graphs = max(1, int(50 * scale))
     cases = 0
     failures: list[dict] = []
@@ -149,7 +149,8 @@ def suite_thm2(seed: int, scale: float = 1.0) -> dict:
 
 
 def suite_bne(seed: int, scale: float = 1.0) -> dict:
-    """Solver fixed points match closed forms and survive simulation."""
+    """Solver fixed points match closed forms and a population of agents placed
+    at the bias quantiles.  Every check is deterministic, so the seed is unused."""
     failures: list[dict] = []
     cases = 0
     spec = FanSpec(5, Fraction(2))
@@ -157,41 +158,33 @@ def suite_bne(seed: int, scale: float = 1.0) -> dict:
     def fail(**info) -> None:
         failures.append(info)
 
-    for r in (2.0, 3.0, 4.0, 10.0, 50.0):
-        cases += 1
-        dist = bne.BiasDistribution.equal_revenue(2.0)
-        solved = bne.solve_fan_bne(spec, dist, r)
-        if abs(solved.prob_optimal - bne.closed_form_p(dist, r)) > 1e-9:
-            fail(dist="equal-revenue", reward=r, solver=solved.prob_optimal)
-    for r in (1.0, 2.0, 4.0, 6.0):
-        cases += 1
-        dist = bne.BiasDistribution.uniform(2.0, 3.0)
-        solved = bne.solve_fan_bne(spec, dist, r)
-        if abs(solved.prob_optimal - bne.closed_form_p(dist, r)) > 1e-9:
-            fail(dist="uniform", reward=r, solver=solved.prob_optimal)
-    for r in (3.0, 6.0, 10.0):
-        cases += 1
-        dist = bne.BiasDistribution.shifted_exponential(2.0, 1.0)
-        solved = bne.solve_fan_bne(spec, dist, r)
-        if abs(solved.prob_optimal - bne.closed_form_p(dist, r)) > 1e-8:
-            fail(dist="exponential", reward=r, solver=solved.prob_optimal)
+    families = (
+        ("equal-revenue", BiasDistribution.equal_revenue(2.0), (2.0, 3.0, 4.0, 10.0, 50.0), 1e-9),
+        ("uniform", BiasDistribution.uniform(2.0, 3.0), (1.0, 2.0, 4.0, 6.0), 1e-9),
+        ("exponential", BiasDistribution.shifted_exponential(2.0, 1.0), (3.0, 6.0, 10.0), 1e-8),
+    )
+    for family, dist, rewards, tol in families:
+        for r in rewards:
+            cases += 1
+            solved = bne.solve_fan_bne(spec, dist, r)
+            if abs(solved.prob_optimal - bne.closed_form_p(dist, r)) > tol:
+                fail(dist=family, reward=r, solver=solved.prob_optimal)
 
     samples = max(10**4, int(2 * 10**4 * scale))
-    dist = bne.BiasDistribution.equal_revenue(2.0)
+    dist = BiasDistribution.equal_revenue(2.0)
     solved = bne.solve_fan_bne(spec, dist, 4.0)
     cases += 1
-    freqs = oracle.monte_carlo_fan_bne(spec, dist, 4.0, solved.cutoff, samples, seed)
-    band = 3.0 * max(freqs.std_errors[0], 1e-9)
-    if abs(freqs.frequencies[0] - solved.prob_optimal) > band or any(
+    freqs = oracle.fan_exit_frequencies(spec, dist, 4.0, solved.cutoff, samples)
+    if abs(freqs.frequencies[0] - solved.prob_optimal) > 1.0 / samples or any(
         freqs.frequencies[i] for i in range(1, spec.n)
     ):
         fail(dist="equal-revenue", reward=4.0, frequencies=freqs.frequencies)
 
-    for p in np.linspace(0.01, 1.0, 34):
+    for p in [0.01 + i * (0.99 / 33) for i in range(33)] + [1.0]:
         for m in (1, 2, 5, 20):
             cases += 1
-            if not bne.reward_share_factor(float(p), m) > 0:
-                fail(share_factor_at=(float(p), m))
+            if not bne.reward_share_factor(p, m) > 0:
+                fail(share_factor_at=(p, m))
     return {"suite": "bne", "cases": cases, "failures": failures}
 
 

@@ -39,7 +39,7 @@ def coprime_graph(rng) -> TaskGraph:
     edges = []
     for i, e in enumerate(base.edges):
         d = PRIMES[i % 7] * PRIMES[i % 7 + 7]
-        n = int(rng.integers(1, 3 * d))
+        n = rng.randrange(1, 3 * d)
         while gcd(n, d) != 1:
             n += 1
         edges.append({"from": e.tail, "to": e.head, "cost": f"{n}/{d}"})
@@ -52,7 +52,7 @@ def with_twin(graph: TaskGraph, rng) -> TaskGraph:
     costs, listed right after w: every predecessor of w perceives w and w'
     alike, so its choice between them is a tie."""
     interior = [v for v in graph.vertices if v not in (graph.source, graph.sink)]
-    w = interior[int(rng.integers(0, len(interior)))]
+    w = rng.choice(interior)
     data = graph.to_json_dict()
     data["vertices"].insert(data["vertices"].index(w) + 1, w + "'")
     data["edges"] += [{**e, "from": w + "'"} for e in data["edges"] if e["from"] == w]

@@ -1,6 +1,6 @@
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,7 +74,7 @@ class TestStep:
         assert chosen == "z"
 
     def test_unbiased_follows_cheapest(self):
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         unbiased = AgentConfig(F(1))
         for _ in range(10):
             graph = random_layered_graph(rng)
@@ -107,7 +107,7 @@ class TestTraverse:
         assert trace.path.cost == F(3, 2) ** 5
 
     def test_unbiased_matches_cheapest_cost(self):
-        rng = np.random.default_rng(17)
+        rng = random.Random(17)
         unbiased = AgentConfig(F(1))
         for _ in range(20):
             graph = random_layered_graph(rng)
@@ -115,7 +115,7 @@ class TestTraverse:
             assert trace.path.cost == graph.cheapest_cost(graph.source)
 
     def test_terminates_within_vertex_budget(self):
-        rng = np.random.default_rng(29)
+        rng = random.Random(29)
         for _ in range(20):
             graph = random_layered_graph(rng)
             trace = traverse(graph, AgentConfig(F(5)))
@@ -132,7 +132,7 @@ class TestTraverse:
             assert trace.path.vertices == expected.vertices, (n, c, b)
 
     def test_zero_reward_competition_changes_nothing(self):
-        rng = np.random.default_rng(41)
+        rng = random.Random(41)
         config = AgentConfig(F(2))
         for _ in range(20):
             graph = random_layered_graph(rng)
@@ -226,7 +226,7 @@ class TestIntegerKernel:
     @given(seed=st.integers(0, 2**32 - 1), bias=st.sampled_from((F(7, 3), F(13, 6))),
            reward=st.sampled_from((F(1, 3), F(5, 7))), tie_rule=st.sampled_from(tuple(RewardTie)))
     def test_matches_fraction_three_case_formula(self, seed, bias, reward, tie_rule):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         graph = with_twin(coprime_graph(rng), rng)
         stairs = reference_staircases(graph)
         config = AgentConfig(bias, tie_rule)
@@ -245,7 +245,7 @@ class TestIntegerKernel:
 
     def test_twin_tie_follows_the_reference(self):
         graph = with_twin(build_graph([("s", "a", 1), ("a", "t", 1), ("s", "t", 3)]),
-                          np.random.default_rng(0))
+                          random.Random(0))
         assert graph.vertices == ("s", "a", "a'", "t")
         config = AgentConfig(F(7, 3))
         for opponent in (None, 2):

@@ -1,8 +1,8 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,9 +200,9 @@ class TestShareFactors:
         assert abs(reward_share_factor(0.5, 2) - 1 / 3) <= 1e-15
 
     def test_positive_on_grid(self):
-        for p in np.linspace(0.001, 1.0, 200):
+        for p in [0.001 + i * (0.999 / 199) for i in range(199)] + [1.0]:
             for m in (1, 2, 5, 20, 100):
-                assert reward_share_factor(float(p), m) > 0
+                assert reward_share_factor(p, m) > 0
 
     def test_zero_probability_limit(self):
         assert reward_share_factor(0.0, 7) == 0.0
@@ -251,8 +251,8 @@ class TestShareFactorBits:
         _assert_bit_identical(p, m)
 
     @pytest.mark.parametrize("p", [
-        5e-324, 1 - 2.0**-53, 1.0, 1, F(1, 3), np.float64(0.37), 0.0,
-        *np.linspace(0.01, 1.0, 34),  # the bne suite's grid
+        5e-324, 1 - 2.0**-53, 1.0, 1, F(1, 3), 0.37, 0.0,
+        *[0.01 + i * (0.99 / 33) for i in range(33)], 1.0,  # the bne suite's grid
     ])
     def test_fixed_probabilities(self, p):
         for m in range(61):
@@ -316,13 +316,13 @@ class TestTwoPathIntervals:
         assert second.nonempty
 
     def test_one_interval_always_nonempty_randomized(self):
-        rng = np.random.default_rng(53)
+        rng = random.Random(53)
         for _ in range(2000):
-            c = 1.0 + float(rng.uniform(0.05, 2.0))
-            c2 = c * c + float(rng.uniform(0.05, 5.0))
-            c3 = c2 * c2 + float(rng.uniform(0.05, 10.0))
-            r = float(rng.uniform(0.0, 20.0))
-            p = float(rng.uniform(0.01, 0.99))
+            c = 1.0 + rng.uniform(0.05, 2.0)
+            c2 = c * c + rng.uniform(0.05, 5.0)
+            c3 = c2 * c2 + rng.uniform(0.05, 10.0)
+            r = rng.uniform(0.0, 20.0)
+            p = rng.uniform(0.01, 0.99)
             first, second = two_path_bne_intervals(c, c2, c3, r, p)
             assert first.nonempty or second.nonempty
 

@@ -272,15 +272,24 @@ def test_verify_suite_choices_are_the_suites():
     assert tuple(suite.choices) == verify.SUITES
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy comes in with biasgraph.verify, which only the verify command needs
+def test_verify_runs_without_numpy():
+    # a None entry in sys.modules makes any `import numpy` raise ImportError
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from biasgraph import cli\n"
+        "for s in cli.SUITES:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.run(['verify', '--suite', s, '--scale', '0.1'])\n"
+        "    print(s, code)\n"
+    )
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", "import biasgraph.cli, sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
         timeout=120,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines() == [f"{s} 0" for s in cli.SUITES]
 
 
 def test_verify_rejects_nonpositive_scale(capsys):
@@ -352,6 +361,27 @@ def test_bne_work_past_its_bound_exits_2_at_once(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "bound 100" in captured.err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bne-fan", "--n", "5", "--c", "2", "--dist", "uniform", "--r", "4"],
+     "uniform distribution needs --d"),
+    (["bne-fan", "--n", "5", "--c", "2", "--dist", "exponential", "--r", "4"],
+     "exponential distribution needs --rate"),
+    (["bne-fan-multi", *_ER_FAN, "--m", "2", "--r", "6", "--per-agent-s", "2"],
+     "give exactly one of --r or --per-agent-s"),
+    (["bne-fan-multi", *_ER_FAN, "--m", "2"], "give exactly one of --r or --per-agent-s"),
+    (["bne-sweep", *_ER_FAN, "--r-min", "4", "--r-max", "2"],
+     "need r-max >= r-min and at least two steps"),
+    (["bne-sweep", *_ER_FAN, "--r-min", "2", "--r-max", "4", "--steps", "1"],
+     "need r-max >= r-min and at least two steps"),
+])
+def test_bne_option_checks_exit_2(capsys, argv, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("suite", ["prop1", "alg1"])

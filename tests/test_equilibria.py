@@ -1,7 +1,7 @@
+import random
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,7 +64,7 @@ class TestNondominatedLadder:
 
     def test_matches_filtered_per_length_paths(self):
         # Small graphs and graphs of 30-40 vertices, above the brute-force guard.
-        rng = np.random.default_rng(41)
+        rng = random.Random(41)
         graphs = [random_layered_graph(rng) for _ in range(40)]
         graphs += [
             random_layered_graph(rng, max_vertices=40, min_interior=14, max_interior=18)
@@ -82,10 +82,10 @@ class TestNondominatedLadder:
                 assert nondominated_ladder(graph, reward).paths == tuple(expected)
 
     def test_ladder_invariants_on_random_graphs(self):
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         for _ in range(50):
             graph = random_ladder_graph(rng)
-            reward = F(int(rng.integers(0, 17)), 2)
+            reward = F(rng.randrange(17), 2)
             ladder = nondominated_ladder(graph, reward)
             costs, lengths = ladder.costs, [p.length for p in ladder.paths]
             assert all(a > b for a, b in zip(costs, costs[1:]))
@@ -134,10 +134,10 @@ class TestClassifyUnbiased:
         assert report.asymmetric is None
 
     def test_matches_best_response_table(self):
-        rng = np.random.default_rng(19)
+        rng = random.Random(19)
         for _ in range(80):
             graph = random_ladder_graph(rng)
-            reward = F(int(rng.integers(0, 25)), 2)
+            reward = F(rng.randrange(25), 2)
             for tie_rule in RewardTie:
                 report = classify_unbiased(graph, reward, tie_rule)
                 paths = report.ladder.paths
@@ -203,14 +203,14 @@ class TestFanThresholds:
             fan_ne_thresholds(FanSpec(3, F(2)), F(3, 2))
 
     def test_thresholds_agree_with_ne_check(self):
-        rng = np.random.default_rng(31)
+        rng = random.Random(31)
         for n, c, b in [(3, F(3, 2), F(2)), (4, F(2), F(3)), (5, F(3, 2), F(2)), (6, F(5, 4), F(3, 2))]:
             spec = FanSpec(n, c)
             graph = make_fan(spec)
             lo = fan_ne_thresholds(spec, b).optimal_min_reward
             hi = fan_ne_thresholds(spec, b).longest_max_reward
             probes = {lo, hi, lo + F(1, 100), hi + F(1, 100), lo / 2, hi * 2}
-            probes |= {F(int(rng.integers(0, 40)), 4) for _ in range(6)}
+            probes |= {F(rng.randrange(40), 4) for _ in range(6)}
             for r in probes:
                 assert bool(check_symmetric_ne(graph, fan_path(graph, 0), r, b)) == (r >= lo)
                 assert bool(check_symmetric_ne(graph, fan_path(graph, n), r, b)) == (r <= hi)
@@ -256,7 +256,7 @@ class TestDominantPathReward:
         assert dominant_path_reward(graph, F(2), agents=5).reward == 10
 
     def test_agrees_with_enumeration(self):
-        rng = np.random.default_rng(43)
+        rng = random.Random(43)
         graphs = [random_layered_graph(rng) for _ in range(60)]
         graphs += [random_dominant_graph(rng) for _ in range(30)]
         found = 0
@@ -273,7 +273,7 @@ class TestDominantPathReward:
         assert 30 <= found < len(graphs)
 
     def test_random_dominant_graphs_all_pass(self):
-        rng = np.random.default_rng(37)
+        rng = random.Random(37)
         for _ in range(30):
             graph = random_dominant_graph(rng)
             for bias in (F(3, 2), F(2), F(5)):
@@ -342,7 +342,7 @@ class TestFeasibleRewards:
     def test_membership_equals_traversal_check_on_random_graphs(self):
         from biasgraph.oracle import enumerate_paths
 
-        rng = np.random.default_rng(47)
+        rng = random.Random(47)
         for _ in range(12):
             graph = random_layered_graph(rng)
             for q in enumerate_paths(graph):
@@ -351,7 +351,7 @@ class TestFeasibleRewards:
                     points = list(algorithm_breakpoints(graph, q, bias))
                     candidates = set(points)
                     candidates.update((a + b) / 2 for a, b in zip(points, points[1:]))
-                    candidates.update(F(int(rng.integers(0, 200)), 8) for _ in range(50))
+                    candidates.update(F(rng.randrange(200), 8) for _ in range(50))
                     for r in candidates:
                         stays = check_symmetric_ne(graph, q, r, bias).is_equilibrium
                         assert feasible.contains(r) == stays, (q.vertices, bias, r)
@@ -459,7 +459,7 @@ class TestFeasibleRewardsSweep:
                 assert feasible_rewards(graph, p, bias) == reference_feasible_rewards(graph, p, bias)
 
     def test_coprime_denominators_reach_unit_of_1e18(self):
-        graph = coprime_graph(np.random.default_rng(0))
+        graph = coprime_graph(random.Random(0))
         assert F(6, 5).denominator * lcm(*{e.cost.denominator for e in graph.edges}) > 10**18
         for q in enumerate_paths(graph):
             assert feasible_rewards(graph, q, F(6, 5)) == reference_feasible_rewards(graph, q, F(6, 5))
@@ -468,7 +468,7 @@ class TestFeasibleRewardsSweep:
     @given(seed=st.integers(0, 2**32 - 1), coprime=st.booleans(),
            bias=st.sampled_from((F(1), F(6, 5), F(3, 2), F(2), F(13, 6), F(10))))
     def test_matches_fraction_reference(self, seed, coprime, bias):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         graph = coprime_graph(rng) if coprime else random_layered_graph(rng)
         for q in enumerate_paths(graph):
             assert feasible_rewards(graph, q, bias) == reference_feasible_rewards(graph, q, bias), \

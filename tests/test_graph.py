@@ -1,7 +1,7 @@
+import random
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,7 +153,7 @@ class TestHopBoundedCheapest:
             assert table.cases(b) == (table.costs[-1], table.at_most(b), table.at_most(b - 1))
 
     def test_staircase_invariants(self, fig1):
-        rng = np.random.default_rng(13)
+        rng = random.Random(13)
         graphs = [fig1[0]] + [random_layered_graph(rng, max_vertices=30) for _ in range(20)]
         for graph in graphs:
             sink = graph.hop_tables[graph.sink]
@@ -167,7 +167,7 @@ class TestHopBoundedCheapest:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), coprime=st.booleans())
     def test_integer_staircases_match_fraction_dp(self, seed, coprime):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         graph = coprime_graph(rng) if coprime else random_layered_graph(rng, max_vertices=12)
         assert graph.unit == lcm(*{e.cost.denominator for e in graph.edges})
         stairs = reference_staircases(graph)
@@ -178,14 +178,14 @@ class TestHopBoundedCheapest:
                 == stairs[v]
 
     def test_rebuilt_graph_has_equal_tables_and_unit(self):
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         for graph in [coprime_graph(rng) for _ in range(10)]:
             copy = TaskGraph(graph.vertices, graph.edges, graph.source, graph.sink, graph.pruned)
             assert copy.unit == graph.unit
             assert copy.hop_tables == graph.hop_tables
 
     def test_matches_enumeration_on_random_graphs(self):
-        rng = np.random.default_rng(11)
+        rng = random.Random(11)
         for _ in range(25):
             graph = random_layered_graph(rng)
             for v in graph.vertices:
@@ -229,7 +229,7 @@ class TestCheapestPerLength:
         assert cheapest_per_length(g)[2].vertices == ("s", "a", "t")
 
     def test_agrees_with_enumeration_on_random_graphs(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         for _ in range(25):
             graph = random_layered_graph(rng)
             by_len = cheapest_per_length(graph)

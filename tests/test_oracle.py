@@ -1,10 +1,10 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import biasgraph
@@ -17,6 +17,7 @@ from biasgraph import (
     make_fan,
     make_named_instance,
     perceived_cost,
+    solve_fan_bne,
     validate,
     AgentConfig,
 )
@@ -25,7 +26,7 @@ from biasgraph.oracle import (
     brute_perceived_min,
     brute_traverse,
     enumerate_paths,
-    monte_carlo_fan_bne,
+    fan_exit_frequencies,
     random_dominant_graph,
     random_layered_graph,
     reward_sweep_ne,
@@ -55,29 +56,27 @@ class TestEnumeratePaths:
         g = build_graph([("s", "t", 1)])
         assert len(enumerate_paths(g)) == 1
 
-    def test_guard_respects_environment(self, monkeypatch):
-        graph = make_fan(FanSpec(20, F(2)))  # 22 vertices
-        with pytest.raises(TooLarge):
-            enumerate_paths(graph)
-        monkeypatch.setenv("BIASGRAPH_MAX_BRUTE", "30")
-        assert len(enumerate_paths(graph)) == 21
+    def test_guard_admits_fourteen_vertices(self):
+        assert len(enumerate_paths(make_fan(FanSpec(12, F(2))))) == 13  # 14 vertices
+        with pytest.raises(TooLarge, match="15 vertices"):
+            enumerate_paths(make_fan(FanSpec(13, F(2))))
 
 
 class TestBrutePerceivedMin:
     def test_matches_formula_on_random_instances(self):
-        rng = np.random.default_rng(43)
+        rng = random.Random(43)
         checked = 0
         while checked < 200:
             graph = random_layered_graph(rng)
-            config = AgentConfig(F(int(rng.integers(1, 6))))
+            config = AgentConfig(F(rng.randrange(1, 6)))
             walk = brute_traverse(graph, config.bias, None, F(0))
-            steps = int(rng.integers(0, walk.length))
+            steps = rng.randrange(walk.length)
             prefix = walk.vertices[: steps + 1]
             state = at(graph, *prefix)
             if prefix[-1] == graph.sink:
                 continue
-            k = int(rng.integers(1, 7))
-            r = F(int(rng.integers(0, 41)), 4)
+            k = rng.randrange(1, 7)
+            r = F(rng.randrange(41), 4)
             for edge in graph.successors(state.vertex):
                 expected = perceived_cost(graph, state, edge.head, config, k, r)
                 got = brute_perceived_min(graph, state, edge.head, config.bias, k, r)
@@ -97,7 +96,7 @@ class TestBrutePerceivedMin:
 
 class TestContinuationMinima:
     def test_keyed_by_identity_and_bounded(self):
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         graph = random_layered_graph(rng)
         twin = validate(graph.to_json_dict())
         assert twin == graph and twin is not graph
@@ -139,14 +138,14 @@ class TestRewardSweep:
 
 class TestGenerators:
     def test_layered_graphs_are_small_and_valid(self):
-        rng = np.random.default_rng(59)
+        rng = random.Random(59)
         for _ in range(40):
             graph = random_layered_graph(rng)
             assert len(graph.vertices) <= 8
             assert graph.cheapest_cost(graph.source) >= 0
 
     def test_dominant_graphs_have_the_chain(self):
-        rng = np.random.default_rng(61)
+        rng = random.Random(61)
         for _ in range(20):
             graph = random_dominant_graph(rng)
             assert len(graph.vertices) <= 10
@@ -154,14 +153,14 @@ class TestGenerators:
             assert min(p.length for p in enumerate_paths(graph)) == 2
 
     def test_generation_is_deterministic_under_seed(self):
-        a = random_layered_graph(np.random.default_rng(7)).to_json()
-        b = random_layered_graph(np.random.default_rng(7)).to_json()
+        a = random_layered_graph(random.Random(7)).to_json()
+        b = random_layered_graph(random.Random(7)).to_json()
         assert a == b
 
     def test_generation_ignores_hash_seed(self):
         script = (
-            "import numpy as np; from biasgraph.oracle import random_layered_graph; "
-            "rng = np.random.default_rng(0); "
+            "import random; from biasgraph.oracle import random_layered_graph; "
+            "rng = random.Random(0); "
             "print([random_layered_graph(rng).to_json() for _ in range(20)])"
         )
         src = str(Path(biasgraph.__file__).parents[1])
@@ -177,35 +176,42 @@ class TestGenerators:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
-class TestMonteCarloFan:
-    def test_equal_revenue_frequencies_near_fixed_point(self):
+class TestFanExitFrequencies:
+    def test_equal_revenue_frequencies_at_fixed_point(self):
         spec = FanSpec(5, F(2))
         dist = BiasDistribution.equal_revenue(2.0)
         cutoff = 4.0 * 0.5 / 2.0 + 2.0  # r*p/2 + c at the solved p = 1/2
-        freqs = monte_carlo_fan_bne(spec, dist, 4.0, cutoff, 10**5, seed=2)
-        assert abs(freqs.frequencies[0] - 0.5) <= 3 * freqs.std_errors[0]
+        freqs = fan_exit_frequencies(spec, dist, 4.0, cutoff, 10**5)
+        assert abs(freqs.frequencies[0] - 0.5) <= 1 / 10**5
         assert all(f == 0 for f in freqs.frequencies[1:5])
+
+    def test_direct_count_within_half_of_the_cdf(self):
+        spec = FanSpec(5, F(2))
+        for dist, rewards in (
+            (BiasDistribution.equal_revenue(2.0), (3.0, 4.0, 10.0, 50.0)),
+            (BiasDistribution.uniform(2.0, 4.0), (4.0, 6.0)),
+            (BiasDistribution.shifted_exponential(2.0, 1.0), (3.0, 6.0, 10.0)),
+        ):
+            for reward in rewards:
+                sol = solve_fan_bne(spec, dist, reward)
+                for samples in (10**4, 2 * 10**4 + 1):
+                    freqs = fan_exit_frequencies(spec, dist, reward, sol.cutoff, samples)
+                    assert abs(freqs.counts[0] - samples * dist.cdf(sol.cutoff)) <= 0.5 + 1e-6
+                    assert abs(freqs.frequencies[0] - sol.prob_optimal) <= 1 / samples
 
     def test_uniform_all_finish_immediately(self):
         spec = FanSpec(5, F(2))
         dist = BiasDistribution.uniform(2.0, 4.0)
-        freqs = monte_carlo_fan_bne(spec, dist, 4.0, 4.0, 10**4, seed=3)
+        freqs = fan_exit_frequencies(spec, dist, 4.0, 4.0, 10**4)
         assert freqs.frequencies[0] == 1.0
 
     def test_no_reward_everyone_delays(self):
         spec = FanSpec(4, F(2))
         dist = BiasDistribution.equal_revenue(2.0)
-        freqs = monte_carlo_fan_bne(spec, dist, 0.0, 2.0, 10**4, seed=4)
+        freqs = fan_exit_frequencies(spec, dist, 0.0, 2.0, 10**4)
         assert freqs.frequencies[4] == 1.0
 
-    def test_deterministic_under_seed(self):
-        spec = FanSpec(3, F(2))
-        dist = BiasDistribution.shifted_exponential(2.0, 1.0)
-        a = monte_carlo_fan_bne(spec, dist, 5.0, 3.0, 10**4, seed=9)
-        b = monte_carlo_fan_bne(spec, dist, 5.0, 3.0, 10**4, seed=9)
-        assert a == b
-
-    def test_sample_floor(self):
+    def test_needs_a_sample(self):
         spec = FanSpec(3, F(2))
         with pytest.raises(ValueError):
-            monte_carlo_fan_bne(spec, BiasDistribution.equal_revenue(2.0), 1.0, 2.0, 100, seed=1)
+            fan_exit_frequencies(spec, BiasDistribution.equal_revenue(2.0), 1.0, 2.0, 0)
