@@ -16,7 +16,6 @@ from .agents import (
     TraversalTrace,
     cost_ratio,
     perceived_cost,
-    step,
     traverse,
 )
 from .bne import (

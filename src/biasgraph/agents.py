@@ -127,9 +127,8 @@ class _Perceiver:
         return scored
 
     def step(self, vertex: str, steps_taken: int, reference_next: str | None) -> TraversalStep:
+        """The cheapest perceived successor; ties go to ``reference_next``, else graph order."""
         scored = self.scores(steps_taken, self.graph.arcs[vertex])
-        if not scored:
-            raise ValueError(f"vertex {vertex} has no successor")
         chosen, best = min(scored, key=itemgetter(1))
         if reference_next is not None and (reference_next, best) in scored:
             chosen = reference_next
@@ -153,23 +152,6 @@ def perceived_cost(
     return Fraction(cost, perceive.unit)
 
 
-def step(
-    graph: TaskGraph,
-    state: TraversalState,
-    config: AgentConfig,
-    opponent_length: int | None = None,
-    reward: Fraction = Fraction(0),
-    reference_next: str | None = None,
-) -> TraversalStep:
-    """Pick the successor with minimal perceived cost; return the step as logged.
-
-    Ties prefer ``reference_next`` when given (the agent stays on a path it is
-    being tested against), otherwise the earliest vertex in graph order.
-    """
-    perceive = _Perceiver(graph, config, opponent_length, reward)
-    return perceive.step(state.vertex, state.steps_taken, reference_next)
-
-
 def traverse(
     graph: TaskGraph,
     config: AgentConfig,
@@ -186,8 +168,6 @@ def traverse(
     ref = reference.vertices if reference is not None else ()
     while prefix[-1] != graph.sink:
         steps = len(prefix) - 1
-        if steps >= len(graph.vertices):  # pragma: no cover - DAG guarantees progress
-            raise AssertionError("traversal failed to terminate")
         ref_next = ref[steps + 1] if steps + 1 < len(ref) else None
         taken = perceive.step(prefix[-1], steps, ref_next)
         log.append(taken)

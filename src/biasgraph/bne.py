@@ -87,12 +87,6 @@ class FanOpponentProfile:
             raise ValueError("probabilities must sum to 1")
 
     @classmethod
-    def point_mass(cls, exit_index: int, n: int) -> "FanOpponentProfile":
-        probs = [0.0] * (n + 1)
-        probs[exit_index] = 1.0
-        return cls(tuple(probs))
-
-    @classmethod
     def two_point(cls, prob_direct: float, n: int) -> "FanOpponentProfile":
         """Opponent takes P0 with the given probability, Pn otherwise."""
         probs = [0.0] * (n + 1)

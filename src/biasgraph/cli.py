@@ -224,6 +224,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.opponent_length is not None and args.opponent_path is not None:
+        raise ValueError("give at most one of --opponent-length or --opponent-path")
     graph = _read_graph(args.graph)
     config = AgentConfig(args.bias, RewardTie(args.tie))
     opponent = args.opponent_length

@@ -31,9 +31,6 @@ class NondominatedLadder:
     paths: tuple[PathRecord, ...]
     reward: Fraction
 
-    def __len__(self) -> int:
-        return len(self.paths)
-
     @property
     def costs(self) -> tuple[Fraction, ...]:
         return tuple(p.cost for p in self.paths)

@@ -138,14 +138,6 @@ class TaskGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def adjacency(self) -> dict[str, tuple[Edge, ...]]:
-        """Each vertex's out-edges as ``Edge``s, in ``edges`` order (head order)."""
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.tail].append(e)
-        return {v: tuple(es) for v, es in out.items()}
-
-    @cached_property
     def arcs(self) -> dict[str, tuple[tuple[str, int], ...]]:
         """Each vertex's out-edges as (head, cost in 1/unit), in head order:
         the integer view of the edges that the per-edge loops read."""
@@ -167,15 +159,13 @@ class TaskGraph:
                 return cost
         raise KeyError(f"no edge {u}->{v}")
 
-    def successors(self, v: str) -> tuple[Edge, ...]:
-        return self.adjacency[v]
+    def successors(self, v: str) -> tuple[tuple[str, int], ...]:
+        """``arcs[v]``: v's (head, cost in 1/unit) pairs in head order."""
+        return self.arcs[v]
 
     def edge_cost(self, u: str, v: str) -> Fraction:
-        """The cost of the edge u->v, read from ``adjacency[u]``."""
-        for e in self.adjacency.get(u, ()):
-            if e.head == v:
-                return e.cost
-        raise KeyError(f"no edge {u}->{v}")
+        """The cost of the edge u->v as a Fraction: ``arc_cost(u, v)`` / ``unit``."""
+        return Fraction(self.arc_cost(u, v), self.unit)
 
     @cached_property
     def topo_order(self) -> tuple[str, ...]:

@@ -1,10 +1,14 @@
 """Brute-force verifiers and random instance generators.
 
 Everything here recomputes results from first principles (path enumeration,
-literal minimization over continuations, sampling) and shares nothing with the
-analytical modules beyond the graph and path types, so agreement between the
-two routes is meaningful evidence of correctness.  Enumeration is guarded by a
-vertex-count limit.  Random draws come from a ``random.Random`` the caller seeds.
+literal minimization over continuations), not from the hop tables, perceived
+costs or reward sweeps, so agreement between the two routes is meaningful
+evidence of correctness.  Beside the graph and path types it imports
+``RewardTie`` and ``TraversalState`` from ``agents`` and ``BiasDistribution``,
+``FanOpponentProfile`` and ``fan_agent_exit`` from ``bne``: to check the cutoff
+fixed-point solver, which is separate code, :func:`fan_exit_frequencies` applies
+the closed-form fan agent.  Enumeration is guarded by a vertex-count limit.
+Random draws come from a ``random.Random`` the caller seeds.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ def enumerate_paths(graph: TaskGraph, start: str | None = None) -> list[PathReco
         if v == graph.sink:
             paths.append(PathRecord.from_vertices(graph, stack))
             return
-        for e in graph.successors(v):
-            stack.append(e.head)
-            visit(e.head)
+        for head, _ in graph.successors(v):
+            stack.append(head)
+            visit(head)
             stack.pop()
 
     if start == graph.sink:
@@ -127,8 +131,8 @@ def brute_traverse(
         if on_reference and len(prefix) < len(reference.vertices):
             ref_next = reference.vertices[len(prefix)]
         scored = [
-            (e.head, brute_perceived_min(graph, state, e.head, bias, opponent_length, reward))
-            for e in graph.successors(state.vertex)
+            (head, brute_perceived_min(graph, state, head, bias, opponent_length, reward))
+            for head, _ in graph.successors(state.vertex)
         ]
         best = min(cost for _, cost in scored)
         choices = [v for v, cost in scored if cost == best]

@@ -7,7 +7,8 @@ from typing import Mapping
 
 import pytest
 
-from biasgraph import AgentConfig, FanSpec, TaskGraph, TraversalState, make_fan, make_named_instance, validate
+from biasgraph import (AgentConfig, FanSpec, Interval, IntervalSet, TaskGraph, TraversalState, make_fan,
+                       make_named_instance, validate)
 from biasgraph.errors import CycleDetected, NoSourceSinkPath
 from biasgraph.graph import Edge, parse_cost
 from biasgraph.oracle import random_layered_graph
@@ -67,7 +68,9 @@ def reference_staircases(graph: TaskGraph) -> dict[str, list[tuple[int, Fraction
     exact: dict[str, dict[int, Fraction]] = {graph.sink: {0: Fraction(0)}}
     for v in reversed(graph.topo_order):
         row = exact.setdefault(v, {})
-        for e in graph.successors(v):
+        for e in graph.edges:
+            if e.tail != v:
+                continue
             for length, cost in exact[e.head].items():
                 if length + 1 not in row or e.cost + cost < row[length + 1]:
                     row[length + 1] = e.cost + cost
@@ -78,6 +81,20 @@ def reference_staircases(graph: TaskGraph) -> dict[str, list[tuple[int, Fraction
             if not stairs[v] or row[length] < stairs[v][-1][1]:
                 stairs[v].append((length, row[length]))
     return stairs
+
+
+def union(pieces) -> IntervalSet:
+    """The canonical set covering the given closed intervals (``None``s are
+    skipped): sorted, with overlapping or touching intervals merged."""
+    merged: list[Interval] = []
+    for piece in sorted((p for p in pieces if p is not None), key=lambda p: p.lo):
+        last = merged[-1] if merged else None
+        if last is not None and (last.hi is None or piece.lo <= last.hi):
+            hi = None if last.hi is None or piece.hi is None else max(last.hi, piece.hi)
+            merged[-1] = Interval(last.lo, hi)
+        else:
+            merged.append(piece)
+    return IntervalSet(tuple(merged))
 
 
 def reference_validate(data: Mapping) -> TaskGraph:

@@ -16,7 +16,6 @@ from biasgraph import (
     FanSpec,
     PathRecord,
     perceived_cost,
-    step,
     traverse,
 )
 from biasgraph.oracle import enumerate_paths, random_layered_graph
@@ -68,28 +67,26 @@ class TestPerceivedCost:
 class TestStep:
     def test_fig1_choices(self, fig1, bias2):
         graph, _ = fig1
-        chosen = step(graph, at(graph, "s"), bias2).chose
-        assert chosen == "v"
-        chosen = step(graph, at(graph, "s", "v"), bias2).chose
-        assert chosen == "z"
+        steps = traverse(graph, bias2).steps
+        assert (steps[0].at, steps[0].chose) == ("s", "v")
+        assert (steps[1].at, steps[1].chose) == ("v", "z")
 
     def test_unbiased_follows_cheapest(self):
         rng = random.Random(5)
         unbiased = AgentConfig(F(1))
         for _ in range(10):
             graph = random_layered_graph(rng)
-            chosen = step(graph, at(graph, graph.source), unbiased).chose
+            chosen = traverse(graph, unbiased).steps[0].chose
             edge = graph.edge_cost(graph.source, chosen)
             assert edge + graph.cheapest_cost(chosen) == graph.cheapest_cost(graph.source)
 
     def test_reference_preference_breaks_ties(self, fan5, bias2):
         _, graph = fan5
         # at reward 1 both successors are perceived at 3/2; reference wins
-        chosen = step(graph, at(graph, "s"), bias2, 1, F(1), reference_next="t").chose
-        assert chosen == "t"
-        chosen = step(graph, at(graph, "s"), bias2, 1, F(1), reference_next="v1").chose
-        assert chosen == "v1"
-        chosen = step(graph, at(graph, "s"), bias2, 1, F(1)).chose
+        for i, first in ((0, "t"), (1, "v1")):
+            trace = traverse(graph, bias2, 1, F(1), reference=fan_path(graph, i))
+            assert trace.steps[0].chose == first
+        chosen = traverse(graph, bias2, 1, F(1)).steps[0].chose
         assert chosen == "t"  # lexicographic fallback: sink registered first
 
 
@@ -180,9 +177,9 @@ class TestCostRatio:
 # The three-case perceived cost written out in Fraction arithmetic over the
 # reference staircases: the reference the integer kernel must reproduce.
 
-def reference_perceived(graph, stairs, u, steps_taken, v, config, opponent, reward):
+def reference_perceived(stairs, edge, steps_taken, config, opponent, reward):
     def within(k):
-        costs = [cost for length, cost in stairs[v] if k is None or length <= k]
+        costs = [cost for length, cost in stairs[edge.head] if k is None or length <= k]
         return min(costs) if costs else None
 
     best = within(None)  # lose, or no opponent
@@ -193,7 +190,7 @@ def reference_perceived(graph, stairs, u, steps_taken, v, config, opponent, rewa
             best = min(best, tie - config.reward_tie.share * reward)
         if win is not None:
             best = min(best, win - reward)
-    return config.bias * graph.edge_cost(u, v) + best
+    return config.bias * edge.cost + best
 
 
 def reference_walk(graph, stairs, config, opponent, reward, reference):
@@ -205,9 +202,8 @@ def reference_walk(graph, stairs, config, opponent, reward, reference):
         ref_next = None
         if on_reference and len(prefix) < len(reference.vertices):
             ref_next = reference.vertices[len(prefix)]
-        scored = [(e.head, reference_perceived(graph, stairs, u, len(prefix) - 1, e.head,
-                                               config, opponent, reward))
-                  for e in graph.successors(u)]
+        scored = [(e.head, reference_perceived(stairs, e, len(prefix) - 1, config, opponent, reward))
+                  for e in graph.edges if e.tail == u]
         best = min(cost for _, cost in scored)
         tied = [v for v, cost in scored if cost == best]
         chosen = ref_next if ref_next in tied else tied[0]
@@ -235,8 +231,7 @@ class TestIntegerKernel:
                 for opponent in (None, 1, 2, 3, 4):
                     state = TraversalState(e.tail, steps_taken)
                     assert perceived_cost(graph, state, e.head, config, opponent, reward) == \
-                        reference_perceived(graph, stairs, e.tail, steps_taken, e.head, config,
-                                            opponent, reward)
+                        reference_perceived(stairs, e, steps_taken, config, opponent, reward)
         for reference in [None, *enumerate_paths(graph)]:
             for opponent in (None, 1, 2, 3, 4):
                 trace = traverse(graph, config, opponent, reward, reference)

@@ -65,32 +65,32 @@ class TestDistributions:
 class TestFanAgent:
     def test_exits_immediately_when_reward_covers_gap(self):
         spec = FanSpec(3, F(2))
-        opp = FanOpponentProfile.point_mass(0, 3)
+        opp = FanOpponentProfile((1.0, 0.0, 0.0, 0.0))
         path = fan_path(make_fan(spec), fan_agent_exit(spec, 2.5, opp, 2.0))
         assert path.vertices == ("s", "t")
 
     def test_delays_fully_once_past_source(self):
         spec = FanSpec(3, F(2))
-        opp = FanOpponentProfile.point_mass(0, 3)
+        opp = FanOpponentProfile((1.0, 0.0, 0.0, 0.0))
         path = fan_path(make_fan(spec), fan_agent_exit(spec, 3.5, opp, 2.0))
         assert path.vertices == ("s", "v1", "v2", "v3", "t")
 
     def test_no_reward_reduces_to_plain_fan(self):
         spec = FanSpec(4, F(2))
-        for opp in (FanOpponentProfile.point_mass(2, 4), FanOpponentProfile.two_point(0.3, 4)):
+        for opp in (FanOpponentProfile((0.0, 0.0, 1.0, 0.0, 0.0)), FanOpponentProfile.two_point(0.3, 4)):
             assert fan_agent_exit(spec, 5.0, opp, 0.0) == 4
             assert fan_agent_exit(spec, 1.5, opp, 0.0) == 0
 
     def test_exit_on_equality(self):
         spec = FanSpec(3, F(2))
-        opp = FanOpponentProfile.point_mass(0, 3)
+        opp = FanOpponentProfile((1.0, 0.0, 0.0, 0.0))
         # reward/2 exactly covers the gap b - c = 1
         assert fan_agent_exit(spec, 3.0, opp, 2.0) == 0
 
     def test_graph_reuse(self):
         spec = FanSpec(3, F(2))
         graph = make_fan(spec)
-        opp = FanOpponentProfile.point_mass(0, 3)
+        opp = FanOpponentProfile((1.0, 0.0, 0.0, 0.0))
         assert fan_path(graph, fan_agent_exit(spec, 2.5, opp, 2.0)).vertices == ("s", "t")
 
 

@@ -70,6 +70,16 @@ def test_simulate_with_opponent(capsys, tmp_path):
     assert json.loads(out)["path"] == ["s", "t"]
 
 
+def test_simulate_rejects_both_opponent_options(capsys, tmp_path):
+    fan = write_fan(tmp_path, n=4, c="2")
+    code = run(["simulate", "--graph", fan, "--bias", "2", "--reward", "1",
+                "--opponent-length", "3", "--opponent-path", "P0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: give at most one of --opponent-length or --opponent-path\n"
+
+
 def test_validate_reports_pruned_vertices(capsys, tmp_path):
     graph_file = tmp_path / "g.json"
     graph_file.write_text(json.dumps({
@@ -568,3 +578,93 @@ def test_graph_input_never_escapes_the_exit_contract(tmp_path_factory, document)
             json.loads(out.getvalue(), parse_constant=_reject_constant)
         elif argv[0] == "validate":
             break
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(parser) -> dict[str, bool]:
+    """Each option of a command and whether it is required."""
+    return {a.option_strings[-1]: a.required for a in parser._actions
+            if a.option_strings and a.dest != "help"}
+
+
+def _commands():
+    """Each command, with a generator name after "gen", and its own options."""
+    for name, parser in _subparsers(cli._build_parser()).items():
+        if name == "gen":
+            for generator, sub in _subparsers(parser).items():
+                yield ("gen", generator), _options(sub)
+        yield (name,), _options(parser)
+
+
+_COMMANDS = dict(_commands())
+_ALL_OPTIONS = sorted({o for options in _COMMANDS.values() for o in options})
+_FRAGMENTS = ["0", "-1", "1e3", "nan", "inf", "-inf", "1/0", "P0", "P9", "s,t", "s,x,t",
+              "FAN", "FIG1", "MISSING", "101", "1001"]
+# Plausible values per option; the work-bounded options take only cheap or
+# out-of-bound values, so that no example runs long.
+_NUMBERS = ["1", "2", "3", "1/2", "3/2", "5/2", "0.05"]
+_PLAUSIBLE = {
+    "--tie": ["split", "full", "none"],
+    "--dist": ["equal-revenue", "uniform", "exponential"],
+    "--format": ["csv", "json"],
+    "--suite": list(verify.SUITES),
+    "--graph": ["FAN", "FIG1", "MISSING"],
+    "--path": ["P0", "P1", "P4", "P9", "s,t", "s,v,z,t", "s,x,t"],
+    "--opponent-path": ["P0", "P3", "P9", "s,t"],
+    "--opponent-length": ["1", "2", "3", "0"],
+    "--seed": ["0", "1", "25008"],
+    "--c": ["2", "3/2", "5/2", "1"],
+}
+_BOUNDED = {
+    "--scale": ["0.01", "0.05", "0", "-1", "nan", "inf", "1/0", "101"],
+    "--steps": ["2", "3", "1", "0", "-1", "nan", "101"],
+    "--m": ["1", "2", "3", "0", "-1", "nan", "101"],
+    "--n": ["1", "2", "3", "5", "0", "-1", "1001"],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A command with most of its options, rarely one of another command's,
+    and values that are mostly plausible and sometimes junk."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    own = _COMMANDS[command]
+    options = [o for o, required in own.items() if draw(st.integers(0, 19)) < (19 if required else 8)]
+    if draw(st.integers(0, 9)) == 0:
+        options.append(draw(st.sampled_from(_ALL_OPTIONS)))
+    if command == ("verify",) and "--scale" not in options:  # the default scale is 1
+        options.append("--scale")
+    argv = list(command)
+    for option in options:
+        if option in _BOUNDED:
+            values = _BOUNDED[option]
+        elif draw(st.integers(0, 7)):
+            values = _PLAUSIBLE.get(option, _NUMBERS)
+        else:
+            values = _FRAGMENTS
+        argv += [option, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_argvs())
+def test_argv_never_escapes_the_exit_contract(tmp_path_factory, argv):
+    base = tmp_path_factory.getbasetemp()
+    files = {"FAN": base / "argv-fan4.json", "FIG1": base / "argv-fig1.json",
+             "MISSING": base / "argv-missing.json"}
+    files["FAN"].write_text(make_fan(FanSpec(4, Fraction(2))).to_json())
+    files["FIG1"].write_text(cli.make_named_instance("fig1")[0].to_json())
+    argv = [str(files.get(token, token)) for token in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code in (0, 3):
+        formats = [value for option, value in zip(argv, argv[1:]) if option == "--format"]
+        if argv[0] == "bne-sweep" and formats[-1:] != ["json"]:
+            assert out.getvalue().startswith("r,p,valid,cost_ratio\n"), argv
+        else:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -34,7 +34,7 @@ from biasgraph.oracle import (
     random_layered_graph,
 )
 
-from conftest import build_graph, coprime_graph, spine_graph
+from conftest import build_graph, coprime_graph, spine_graph, union
 
 F = Fraction
 
@@ -52,7 +52,7 @@ class TestNondominatedLadder:
 
     def test_single_path_graph(self):
         g = build_graph([("s", "t", 3)])
-        assert len(nondominated_ladder(g, F(2))) == 1
+        assert len(nondominated_ladder(g, F(2)).paths) == 1
 
     def test_quicker_and_cheaper_dominates(self):
         g = build_graph(
@@ -381,15 +381,16 @@ def _ref_case_lines(graph, v, budget):
 def reference_feasible_rewards(graph, q, bias):
     result = IntervalSet.nonnegative()
     budget = q.length
+    costs = {(e.tail, e.head): e.cost for e in graph.edges}
     for u, v in zip(q.vertices, q.vertices[1:]):
         budget -= 1
         stay_lines = _ref_case_lines(graph, v, budget)
-        for e in graph.successors(u):
-            if e.head == v:
+        for e in graph.edges:
+            if e.tail != u or e.head == v:
                 continue
-            margin = bias * (graph.edge_cost(u, v) - e.cost)
+            margin = bias * (costs[u, v] - e.cost)
             for a_d, s_d in _ref_case_lines(graph, e.head, budget):
-                result = result.intersect(IntervalSet.from_intervals(
+                result = result.intersect(union(
                     _ref_half_line(a_d - a_s - margin, s_d - s_s) for a_s, s_s in stay_lines
                 ))
     return result

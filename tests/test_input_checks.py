@@ -19,10 +19,10 @@ CHECKS = {
         lambda: bg.BiasDistribution.shifted_exponential(2.0, 0.0), ValueError,
         "rate must be positive"),
     "fan-exit-profile-size": (
-        lambda: bg.fan_agent_exit(FAN3, 3.0, bg.FanOpponentProfile.point_mass(0, 2), 1.0),
+        lambda: bg.fan_agent_exit(FAN3, 3.0, bg.FanOpponentProfile((1.0, 0.0, 0.0)), 1.0),
         ValueError, "profile size"),
     "fan-exit-negative-reward": (
-        lambda: bg.fan_agent_exit(FAN3, 3.0, bg.FanOpponentProfile.point_mass(0, 3), -1.0),
+        lambda: bg.fan_agent_exit(FAN3, 3.0, bg.FanOpponentProfile((1.0, 0.0, 0.0, 0.0)), -1.0),
         ValueError, "reward must be nonnegative"),
     "share-factor-no-competitor": (
         lambda: bg.reward_share_factor(0.5, 0), ValueError, "at least one competitor"),

@@ -6,13 +6,20 @@ from hypothesis import strategies as st
 
 from biasgraph import Interval, IntervalSet
 
+from conftest import union
+
 F = Fraction
 
 
 def iset(*pairs) -> IntervalSet:
-    return IntervalSet.from_intervals(
-        Interval(F(lo), None if hi is None else F(hi)) for lo, hi in pairs
-    )
+    return union(Interval(F(lo), None if hi is None else F(hi)) for lo, hi in pairs)
+
+
+def meet(x: Interval, y: Interval) -> Interval | None:
+    """The intersection of two closed intervals, or None when they are apart."""
+    his = [hi for hi in (x.hi, y.hi) if hi is not None]
+    lo, hi = max(x.lo, y.lo), min(his, default=None)
+    return Interval(lo, hi) if hi is None or lo <= hi else None
 
 
 def test_basic_intersection():
@@ -30,8 +37,8 @@ def test_empty_absorbs():
     assert IntervalSet.empty().is_empty
 
 
-def test_touching_intervals_merge():
-    assert iset((0, 1), (1, 2)) == iset((0, 2))
+def test_pieces_meeting_at_points_stay_apart():
+    assert iset((0, 1), (2, 3)).intersect(iset((1, 2))) == iset((1, 1), (2, 2))
 
 
 def test_overlap_with_unbounded():
@@ -61,9 +68,7 @@ fractions_ = st.fractions(min_value=0, max_value=30, max_denominator=8)
 @st.composite
 def interval_sets(draw):
     pieces = draw(st.lists(st.tuples(fractions_, st.one_of(st.none(), fractions_)), max_size=5))
-    return IntervalSet.from_intervals(
-        Interval(lo, None if width is None else lo + width) for lo, width in pieces
-    )
+    return union(Interval(lo, None if width is None else lo + width) for lo, width in pieces)
 
 
 @given(interval_sets(), interval_sets())
@@ -87,8 +92,12 @@ def test_membership_respects_intersection(a, b, x):
     assert both.contains(x) == (a.contains(x) and b.contains(x))
 
 
-@given(interval_sets())
-def test_normal_form_is_disjoint_and_sorted(a):
-    for left, right in zip(a.intervals, a.intervals[1:]):
+@given(interval_sets(), interval_sets())
+def test_normal_form_is_disjoint_and_sorted(a, b):
+    both = a.intersect(b)
+    for piece in both.intervals:
+        assert piece.hi is None or piece.lo <= piece.hi
+    for left, right in zip(both.intervals, both.intervals[1:]):
         assert left.hi is not None
         assert left.hi < right.lo
+    assert both == union(meet(x, y) for x in a.intervals for y in b.intervals)

@@ -77,9 +77,9 @@ class TestBrutePerceivedMin:
                 continue
             k = rng.randrange(1, 7)
             r = F(rng.randrange(41), 4)
-            for edge in graph.successors(state.vertex):
-                expected = perceived_cost(graph, state, edge.head, config, k, r)
-                got = brute_perceived_min(graph, state, edge.head, config.bias, k, r)
+            for head, _ in graph.successors(state.vertex):
+                expected = perceived_cost(graph, state, head, config, k, r)
+                got = brute_perceived_min(graph, state, head, config.bias, k, r)
                 assert got == expected
                 checked += 1
 
