@@ -16,6 +16,7 @@ from .agents import (
     TraversalTrace,
     cost_ratio,
     perceived_cost,
+    ratio_to_optimal,
     traverse,
 )
 from .bne import (

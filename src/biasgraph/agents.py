@@ -177,10 +177,14 @@ def traverse(
     return TraversalTrace(PathRecord.from_vertices(graph, prefix), tuple(log))
 
 
-def cost_ratio(graph: TaskGraph, config: AgentConfig) -> Fraction:
-    """Biased traversal cost divided by the cheapest-path cost."""
+def ratio_to_optimal(graph: TaskGraph, path: PathRecord) -> Fraction:
+    """The cost of ``path`` divided by the cheapest-path cost."""
     optimal = graph.cheapest_cost(graph.source)
     if optimal == 0:
         raise ZeroOptimalCost("cheapest path costs zero")
-    biased = traverse(graph, config).path.cost
-    return biased / optimal
+    return path.cost / optimal
+
+
+def cost_ratio(graph: TaskGraph, config: AgentConfig) -> Fraction:
+    """Biased traversal cost divided by the cheapest-path cost."""
+    return ratio_to_optimal(graph, traverse(graph, config).path)

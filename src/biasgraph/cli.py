@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .agents import AgentConfig, RewardTie, traverse
+from .agents import AgentConfig, RewardTie, ratio_to_optimal, traverse
 from .bne import (
     BiasDistribution,
     FanBneSolution,
@@ -24,9 +24,9 @@ from .bne import (
     solve_fan_bne_multi,
 )
 from .equilibria import check_symmetric_ne, classify_unbiased, feasible_rewards
-from .errors import BiasGraphError, ZeroOptimalCost
+from .errors import BiasGraphError
 from .graph import TaskGraph, load_graph, parse_rational
-from .instances import FanSpec, make_fan, make_named_instance, resolve_path
+from .instances import _NAMED, FanSpec, make_fan, make_named_instance, resolve_path
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = gen_sub.add_parser("fan")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--c", type=_rational, required=True)
-    for name in ("fig1", "fig7a", "fig7b"):
+    for name in _NAMED:
         gen_sub.add_parser(name)
     g = gen_sub.add_parser("mod3fan")
     g.add_argument("--c", type=_rational, required=True)
@@ -238,16 +238,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_cost_ratio(args) -> int:
     graph = _read_graph(args.graph)
-    config = AgentConfig(args.bias)
-    optimal = graph.cheapest_cost(graph.source)
-    if optimal == 0:
-        raise ZeroOptimalCost("cheapest path costs zero")
-    biased = traverse(graph, config).path
+    biased = traverse(graph, AgentConfig(args.bias)).path
     _emit({
         "biased_cost": str(biased.cost),
         "biased_path": list(biased.vertices),
-        "optimal_cost": str(optimal),
-        "ratio": str(biased.cost / optimal),
+        "optimal_cost": str(graph.cheapest_cost(graph.source)),
+        "ratio": str(ratio_to_optimal(graph, biased)),
     })
     return EXIT_OK
 
@@ -370,8 +366,7 @@ def run(argv: list[str]) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (BiasGraphError, ValueError, ZeroDivisionError, OverflowError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (BiasGraphError, ValueError, ZeroDivisionError, OverflowError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes included.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

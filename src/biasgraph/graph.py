@@ -134,10 +134,6 @@ class TaskGraph:
     pruned: tuple[str, ...] = field(default=(), compare=False)
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def arcs(self) -> dict[str, tuple[tuple[str, int], ...]]:
         """Each vertex's out-edges as (head, cost in 1/unit), in head order:
         the integer view of the edges that the per-edge loops read."""
@@ -238,14 +234,14 @@ def validate(data: Mapping) -> TaskGraph:
     if not isinstance(data, Mapping):
         raise ValueError("graph description must be a JSON object")
     try:
-        raw_vertices = list(data["vertices"])
-        raw_edges = list(data["edges"])
+        raw_vertices = data["vertices"]
+        raw_edges = data["edges"]
         source = data["source"]
         sink = data["sink"]
     except KeyError as exc:
         raise ValueError(f"graph description missing key {exc}") from None
-    except TypeError:
-        raise ValueError("graph vertices and edges must be lists") from None
+    if not (isinstance(raw_vertices, (list, tuple)) and isinstance(raw_edges, (list, tuple))):
+        raise ValueError("graph vertices and edges must be lists")
     if not all(isinstance(v, str) for v in [*raw_vertices, source, sink]):
         raise ValueError("vertex ids must be strings")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,55 +60,71 @@ def resolve_path(graph: TaskGraph, text: str) -> PathRecord:
     return PathRecord.from_vertices(graph, [v.strip() for v in text.split(",")])
 
 
-# Demonstration graphs.  Only some edge costs are pinned by the quantities the
-# instances must reproduce; the remaining costs are frozen here once.
-
-_FIG1 = {
-    "vertices": ["s", "x", "v", "y", "z", "t"],
-    "edges": [
-        {"from": "s", "to": "x", "cost": "6"},
-        {"from": "x", "to": "t", "cost": "0"},
-        {"from": "s", "to": "v", "cost": "0"},
-        {"from": "v", "to": "y", "cost": "11"},
-        {"from": "y", "to": "t", "cost": "0"},
-        {"from": "v", "to": "z", "cost": "0"},
-        {"from": "z", "to": "t", "cost": "21"},
-    ],
-    "source": "s",
-    "sink": "t",
-}
-
-_FIG7A = {
-    "vertices": ["s", "q1", "q2", "v1", "v2", "v3", "t"],
-    "edges": [
-        {"from": "s", "to": "q1", "cost": "0"},
-        {"from": "q1", "to": "q2", "cost": "0"},
-        {"from": "q2", "to": "t", "cost": "2"},
-        {"from": "s", "to": "v1", "cost": "0"},
-        {"from": "v1", "to": "t", "cost": "100"},
-        {"from": "v1", "to": "v2", "cost": "0"},
-        {"from": "v2", "to": "v3", "cost": "0"},
-        {"from": "v3", "to": "t", "cost": "3"},
-    ],
-    "source": "s",
-    "sink": "t",
-}
-
-_FIG7B = {
-    "vertices": ["s", "q1", "q2", "v1", "v2", "v3", "u", "t"],
-    "edges": [
-        {"from": "s", "to": "q1", "cost": "0"},
-        {"from": "q1", "to": "q2", "cost": "8"},
-        {"from": "q2", "to": "t", "cost": "0"},
-        {"from": "s", "to": "v1", "cost": "0"},
-        {"from": "v1", "to": "v2", "cost": "1"},
-        {"from": "v2", "to": "v3", "cost": "4"},
-        {"from": "v3", "to": "t", "cost": "0"},
-        {"from": "v1", "to": "u", "cost": "0"},
-        {"from": "u", "to": "t", "cost": "10"},
-    ],
-    "source": "s",
-    "sink": "t",
+# Demonstration graphs by name: (graph document, metadata).  Only some edge
+# costs are pinned by the quantities the instances must reproduce; the
+# remaining costs are frozen here once.
+_NAMED = {
+    "fig1": ({
+        "vertices": ["s", "x", "v", "y", "z", "t"],
+        "edges": [
+            {"from": "s", "to": "x", "cost": "6"},
+            {"from": "x", "to": "t", "cost": "0"},
+            {"from": "s", "to": "v", "cost": "0"},
+            {"from": "v", "to": "y", "cost": "11"},
+            {"from": "y", "to": "t", "cost": "0"},
+            {"from": "v", "to": "z", "cost": "0"},
+            {"from": "z", "to": "t", "cost": "21"},
+        ],
+        "source": "s",
+        "sink": "t",
+    }, {
+        "optimal": ["s", "x", "t"],
+        "biased": ["s", "v", "z", "t"],
+        "bias": "2",
+    }),
+    "fig7a": ({
+        "vertices": ["s", "q1", "q2", "v1", "v2", "v3", "t"],
+        "edges": [
+            {"from": "s", "to": "q1", "cost": "0"},
+            {"from": "q1", "to": "q2", "cost": "0"},
+            {"from": "q2", "to": "t", "cost": "2"},
+            {"from": "s", "to": "v1", "cost": "0"},
+            {"from": "v1", "to": "t", "cost": "100"},
+            {"from": "v1", "to": "v2", "cost": "0"},
+            {"from": "v2", "to": "v3", "cost": "0"},
+            {"from": "v3", "to": "t", "cost": "3"},
+        ],
+        "source": "s",
+        "sink": "t",
+    }, {
+        "Q": ["s", "q1", "q2", "t"],
+        "V": ["s", "v1", "v2", "v3", "t"],
+        "X": ["s", "v1", "t"],
+        "bias": "10",
+        "rewards": ["1", "300"],
+    }),
+    "fig7b": ({
+        "vertices": ["s", "q1", "q2", "v1", "v2", "v3", "u", "t"],
+        "edges": [
+            {"from": "s", "to": "q1", "cost": "0"},
+            {"from": "q1", "to": "q2", "cost": "8"},
+            {"from": "q2", "to": "t", "cost": "0"},
+            {"from": "s", "to": "v1", "cost": "0"},
+            {"from": "v1", "to": "v2", "cost": "1"},
+            {"from": "v2", "to": "v3", "cost": "4"},
+            {"from": "v3", "to": "t", "cost": "0"},
+            {"from": "v1", "to": "u", "cost": "0"},
+            {"from": "u", "to": "t", "cost": "10"},
+        ],
+        "source": "s",
+        "sink": "t",
+    }, {
+        "Q": ["s", "q1", "q2", "t"],
+        "V": ["s", "v1", "v2", "v3", "t"],
+        "X": ["s", "v1", "u", "t"],
+        "bias": "10",
+        "rewards": ["2", "10"],
+    }),
 }
 
 
@@ -124,34 +141,9 @@ def make_named_instance(
     ``fig7b`` (raising the reward makes the agent stay put), and
     ``modified_3fan`` (fan with super-squaring exit costs; needs c, c2, c3).
     """
-    if name == "fig1":
-        graph = validate(_FIG1)
-        meta = {
-            "optimal": ["s", "x", "t"],
-            "biased": ["s", "v", "z", "t"],
-            "bias": "2",
-        }
-        return graph, meta
-    if name == "fig7a":
-        graph = validate(_FIG7A)
-        meta = {
-            "Q": ["s", "q1", "q2", "t"],
-            "V": ["s", "v1", "v2", "v3", "t"],
-            "X": ["s", "v1", "t"],
-            "bias": "10",
-            "rewards": ["1", "300"],
-        }
-        return graph, meta
-    if name == "fig7b":
-        graph = validate(_FIG7B)
-        meta = {
-            "Q": ["s", "q1", "q2", "t"],
-            "V": ["s", "v1", "v2", "v3", "t"],
-            "X": ["s", "v1", "u", "t"],
-            "bias": "10",
-            "rewards": ["2", "10"],
-        }
-        return graph, meta
+    if name in _NAMED:
+        document, meta = _NAMED[name]
+        return validate(document), copy.deepcopy(meta)
     if name == "modified_3fan":
         if c is None or c2 is None or c3 is None:
             raise ValueError("modified_3fan needs parameters c, c2, c3")

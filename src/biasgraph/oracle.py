@@ -56,17 +56,16 @@ def enumerate_paths(graph: TaskGraph, start: str | None = None) -> list[PathReco
     return paths
 
 
-# id(graph) -> (graph, minima), at most _MINIMA_CACHED entries, oldest first.
-# Keyed by identity: hashing a TaskGraph hashes every vertex and edge.
-_minima: dict[int, tuple[TaskGraph, dict]] = {}
-_MINIMA_CACHED = 256
+# The last graph asked about and its minima: the suites ask about one graph at
+# a time.  Compared by identity: hashing a TaskGraph hashes every vertex and edge.
+_last: tuple[TaskGraph | None, dict] = (None, {})
 
 
 def _continuation_minima(graph: TaskGraph) -> dict[str, tuple[tuple[int, Fraction], ...]]:
     """Per vertex: (length, cheapest cost) over enumerated sink continuations."""
-    hit = _minima.get(id(graph))
-    if hit is not None and hit[0] is graph:
-        return hit[1]
+    global _last
+    if _last[0] is graph:
+        return _last[1]
     table: dict[str, tuple[tuple[int, Fraction], ...]] = {}
     for v in graph.vertices:
         if v == graph.sink:
@@ -77,9 +76,7 @@ def _continuation_minima(graph: TaskGraph) -> dict[str, tuple[tuple[int, Fractio
             if p.length not in best or p.cost < best[p.length]:
                 best[p.length] = p.cost
         table[v] = tuple(sorted(best.items()))
-    _minima[id(graph)] = (graph, table)
-    if len(_minima) > _MINIMA_CACHED:
-        del _minima[next(iter(_minima))]
+    _last = (graph, table)
     return table
 
 
@@ -136,7 +133,7 @@ def brute_traverse(
         ]
         best = min(cost for _, cost in scored)
         choices = [v for v, cost in scored if cost == best]
-        chosen = ref_next if ref_next in choices else min(choices, key=graph.index.__getitem__)
+        chosen = ref_next if ref_next in choices else min(choices, key=graph.vertices.index)
         if on_reference and chosen != ref_next:
             on_reference = False
         prefix.append(chosen)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasgraph import cli, make_fan, FanSpec, verify
+from biasgraph import cli, instances, make_fan, FanSpec, verify
 from biasgraph.cli import run
 
 
@@ -30,8 +30,17 @@ def write_fan(tmp_path, n=5, c="3/2"):
     return str(path)
 
 
-def test_gen_round_trips_through_validate(capsys, tmp_path):
-    code, out = invoke(capsys, "gen", "fig1")
+def test_gen_subcommands_are_the_named_instances_and_the_fans():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    gen = next(a for a in sub.choices["gen"]._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(gen.choices) == ["fan", *instances._NAMED, "mod3fan"]
+
+
+@pytest.mark.parametrize("name", list(instances._NAMED))
+def test_gen_round_trips_through_validate(capsys, tmp_path, name):
+    code, out = invoke(capsys, "gen", name)
     assert code == 0
     graph_file = tmp_path / "g.json"
     graph_file.write_text(out)
@@ -484,29 +493,51 @@ def test_simulate_rejects_negative_opponent_length(capsys, tmp_path):
     assert out == ""
 
 
-@pytest.mark.parametrize("document", [
-    [1, 2],
-    {"vertices": 5, "edges": [], "source": "s", "sink": "t"},
-    {"vertices": ["s", "t"], "edges": [["s", "t", "1"]], "source": "s", "sink": "t"},
-    {"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": None}],
-     "source": "s", "sink": "t"},
-    {"vertices": ["s", ["x"], "t"], "edges": [{"from": "s", "to": "t", "cost": "1"}],
-     "source": "s", "sink": "t"},
-    {"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": "1"}],
-     "source": ["s"], "sink": "t"},
-    {"vertices": ["s", "t", 3], "edges": [{"from": "s", "to": "t", "cost": "1"}],
-     "source": "s", "sink": "t"},
-    {"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": True}],
-     "source": "s", "sink": "t"},
+_ONE_EDGE = [{"from": "s", "to": "t", "cost": "1"}]
+
+
+@pytest.mark.parametrize("document, message", [
+    ([1, 2], "graph description must be a JSON object"),
+    ({"vertices": 5, "edges": [], "source": "s", "sink": "t"},
+     "graph vertices and edges must be lists"),
+    ({"vertices": ["s", "t"], "edges": [["s", "t", "1"]], "source": "s", "sink": "t"},
+     "edge ['s', 't', '1'] must be a JSON object"),
+    ({"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": None}],
+      "source": "s", "sink": "t"}, "None must be a string or integer"),
+    ({"vertices": ["s", ["x"], "t"], "edges": _ONE_EDGE, "source": "s", "sink": "t"},
+     "vertex ids must be strings"),
+    ({"vertices": ["s", "t"], "edges": _ONE_EDGE, "source": ["s"], "sink": "t"},
+     "vertex ids must be strings"),
+    ({"vertices": ["s", "t", 3], "edges": _ONE_EDGE, "source": "s", "sink": "t"},
+     "vertex ids must be strings"),
+    ({"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": True}],
+      "source": "s", "sink": "t"}, "True must be a string or integer"),
+    # a string or an object is iterable, but neither is a list of vertices or edges
+    ({"vertices": "st", "edges": _ONE_EDGE, "source": "s", "sink": "t"},
+     "graph vertices and edges must be lists"),
+    ({"vertices": {"s": 0, "t": 1}, "edges": _ONE_EDGE, "source": "s", "sink": "t"},
+     "graph vertices and edges must be lists"),
+    ({"vertices": ["s", "t"], "edges": {"a": 1}, "source": "s", "sink": "t"},
+     "graph vertices and edges must be lists"),
 ])
-def test_malformed_graph_file_exits_2(capsys, tmp_path, document):
+def test_malformed_graph_file_exits_2(capsys, tmp_path, document, message):
     graph_file = tmp_path / "bad.json"
     graph_file.write_text(json.dumps(document))
     code = run(["validate", "--graph", str(graph_file)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err == f"error: {message}\n"
+
+
+def test_graph_file_that_is_not_json_exits_2(capsys, tmp_path):
+    graph_file = tmp_path / "bad.json"
+    graph_file.write_text("{not json")
+    code = run(["validate", "--graph", str(graph_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from biasgraph import verify
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_suite_passes_at_scale_3(suite):
     report = verify.run_suite(suite, seed=0, scale=3)
+    assert report["suite"] == suite
     assert report["passed"], report["failures"][:3]
 
 
