@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -99,17 +100,11 @@ def _dist_from_args(args) -> BiasDistribution:
     return BiasDistribution.shifted_exponential(lower, float(args.rate))
 
 
-def _solution_payload(solution: FanBneSolution) -> dict:
-    return {
-        "p": solution.prob_optimal,
-        "cutoff": solution.cutoff,
-        "threshold": solution.threshold,
-        "valid": solution.valid,
-        "expected_cost_ratio": solution.expected_cost_ratio,
-        "residual": solution.residual,
-        "found": solution.found,
-        "competitors": solution.competitors,
-    }
+def _emit_solution(solution: FanBneSolution) -> int:
+    payload = asdict(solution)
+    payload["p"] = payload.pop("prob_optimal")
+    _emit(payload)
+    return EXIT_OK if solution.found else EXIT_EMPTY
 
 
 @cache
@@ -117,10 +112,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="biasgraph")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="canonicalize a graph file")
-    p.add_argument("--graph", required=True)
+    def command(name, handler, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("gen", help="emit a generated graph as JSON")
+    # Shared options come from parents, which argparse adds before a command's own.
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
+    bne = argparse.ArgumentParser(add_help=False)
+    bne.add_argument("--n", type=int, required=True)
+    bne.add_argument("--c", type=_rational, required=True)
+    bne.add_argument("--dist", choices=["equal-revenue", "uniform", "exponential"], required=True)
+    bne.add_argument("--d", type=_rational, default=None,
+                     help="upper bound for the uniform distribution")
+    bne.add_argument("--rate", type=_rational, default=None,
+                     help="rate for the exponential distribution")
+
+    command("validate", _cmd_validate, parents=[graph], help="canonicalize a graph file")
+
+    p = command("gen", _cmd_gen, help="emit a generated graph as JSON")
     gen_sub = p.add_subparsers(dest="generator", required=True)
     g = gen_sub.add_parser("fan")
     g.add_argument("--n", type=int, required=True)
@@ -132,64 +143,53 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--c2", type=_rational, required=True)
     g.add_argument("--c3", type=_rational, required=True)
 
-    p = sub.add_parser("simulate", help="trace a naive biased traversal")
-    p.add_argument("--graph", required=True)
+    p = command("simulate", _cmd_simulate, parents=[graph],
+                help="trace a naive biased traversal")
     p.add_argument("--bias", type=_rational, required=True)
     p.add_argument("--reward", type=_rational, default="0")
     p.add_argument("--opponent-length", type=int, default=None)
     p.add_argument("--opponent-path", default=None)
     p.add_argument("--tie", choices=[t.value for t in RewardTie], default="split")
 
-    p = sub.add_parser("cost-ratio", help="biased over optimal traversal cost")
-    p.add_argument("--graph", required=True)
+    p = command("cost-ratio", _cmd_cost_ratio, parents=[graph],
+                help="biased over optimal traversal cost")
     p.add_argument("--bias", type=_rational, required=True)
 
-    p = sub.add_parser("ne-check", help="is a path a symmetric equilibrium at a reward")
-    p.add_argument("--graph", required=True)
+    p = command("ne-check", _cmd_ne_check, parents=[graph],
+                help="is a path a symmetric equilibrium at a reward")
     p.add_argument("--path", required=True)
     p.add_argument("--bias", type=_rational, required=True)
     p.add_argument("--reward", type=_rational, required=True)
 
-    p = sub.add_parser("min-reward",
-                       help="all rewards making a path an equilibrium (ties split the reward)")
-    p.add_argument("--graph", required=True)
+    p = command("min-reward", _cmd_min_reward, parents=[graph],
+                help="all rewards making a path an equilibrium (ties split the reward)")
     p.add_argument("--path", required=True)
     p.add_argument("--bias", type=_rational, required=True)
 
-    p = sub.add_parser("unbiased-eq", help="classify unbiased pure equilibria")
-    p.add_argument("--graph", required=True)
+    p = command("unbiased-eq", _cmd_unbiased_eq, parents=[graph],
+                help="classify unbiased pure equilibria")
     p.add_argument("--reward", type=_rational, required=True)
     p.add_argument("--tie", choices=[t.value for t in RewardTie], default="split")
 
-    def add_bne_common(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--c", type=_rational, required=True)
-        p.add_argument("--dist", choices=["equal-revenue", "uniform", "exponential"], required=True)
-        p.add_argument("--d", type=_rational, default=None,
-                       help="upper bound for the uniform distribution")
-        p.add_argument("--rate", type=_rational, default=None,
-                       help="rate for the exponential distribution")
-
-    p = sub.add_parser("bne-fan", help="two-agent cutoff equilibrium on the fan")
-    add_bne_common(p)
+    p = command("bne-fan", _cmd_bne_fan, parents=[bne],
+                help="two-agent cutoff equilibrium on the fan")
     p.add_argument("--r", type=_rational, required=True)
 
-    p = sub.add_parser("bne-fan-multi", help="cutoff equilibrium with m competitors")
-    add_bne_common(p)
+    p = command("bne-fan-multi", _cmd_bne_fan_multi, parents=[bne],
+                help="cutoff equilibrium with m competitors")
     p.add_argument("--m", type=int, required=True, help=f"competitors, at most {MAX_COMPETITORS}")
     p.add_argument("--r", type=_rational, default=None)
     p.add_argument("--per-agent-s", type=_rational, default=None,
                    help="per-agent reward; total is (m+1)*s")
 
-    p = sub.add_parser("bne-sweep", help="solve over a reward range")
-    add_bne_common(p)
+    p = command("bne-sweep", _cmd_bne_sweep, parents=[bne], help="solve over a reward range")
     p.add_argument("--r-min", type=_rational, required=True)
     p.add_argument("--r-max", type=_rational, required=True)
     p.add_argument("--steps", type=int, default=20, help=f"at most {MAX_SWEEP_STEPS}")
     p.add_argument("--m", type=int, default=1, help=f"competitors, at most {MAX_COMPETITORS}")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("verify", help="run a randomized cross-check suite")
+    p = command("verify", _cmd_verify, help="run a randomized cross-check suite")
     p.add_argument("--suite", choices=list(SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0, help=f"at most {MAX_VERIFY_SCALE}")
@@ -287,9 +287,7 @@ def _cmd_unbiased_eq(args) -> int:
 
 def _cmd_bne_fan(args) -> int:
     spec = _fan_spec(args)
-    solution = solve_fan_bne(spec, _dist_from_args(args), float(args.r))
-    _emit(_solution_payload(solution))
-    return EXIT_OK if solution.found else EXIT_EMPTY
+    return _emit_solution(solve_fan_bne(spec, _dist_from_args(args), float(args.r)))
 
 
 def _cmd_bne_fan_multi(args) -> int:
@@ -301,9 +299,7 @@ def _cmd_bne_fan_multi(args) -> int:
         reward = float(args.r)
     else:
         reward = (args.m + 1) * float(args.per_agent_s)
-    solution = solve_fan_bne_multi(spec, _dist_from_args(args), reward, args.m)
-    _emit(_solution_payload(solution))
-    return EXIT_OK if solution.found else EXIT_EMPTY
+    return _emit_solution(solve_fan_bne_multi(spec, _dist_from_args(args), reward, args.m))
 
 
 def _cmd_bne_sweep(args) -> int:
@@ -343,21 +339,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "gen": _cmd_gen,
-    "simulate": _cmd_simulate,
-    "cost-ratio": _cmd_cost_ratio,
-    "ne-check": _cmd_ne_check,
-    "min-reward": _cmd_min_reward,
-    "unbiased-eq": _cmd_unbiased_eq,
-    "bne-fan": _cmd_bne_fan,
-    "bne-fan-multi": _cmd_bne_fan_multi,
-    "bne-sweep": _cmd_bne_sweep,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -365,7 +346,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (BiasGraphError, ValueError, ZeroDivisionError, OverflowError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes included.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

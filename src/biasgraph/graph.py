@@ -257,15 +257,16 @@ def validate(data: Mapping) -> TaskGraph:
     parsed: dict[str, Fraction] = {}  # each distinct cost string is parsed once
     for item in raw_edges:
         try:
-            tail, head = item["from"], item["to"]
+            tail, head, raw = item["from"], item["to"], item["cost"]
         except TypeError:
             raise ValueError(f"edge {item!r} must be a JSON object") from None
+        except KeyError as exc:
+            raise ValueError(f"edge {item!r} missing key {exc}") from None
         if not (isinstance(tail, str) and tail in position
                 and isinstance(head, str) and head in position):
             raise ValueError(f"edge {tail}->{head} uses unknown vertex")
         if tail == head:
             raise CycleDetected(f"self loop at {tail}")
-        raw = item["cost"]
         if isinstance(raw, str):
             cost = parsed.get(raw)
             if cost is None:
@@ -311,7 +312,11 @@ def validate(data: Mapping) -> TaskGraph:
 
 
 def load_graph(text: str) -> TaskGraph:
-    return validate(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("graph description nests too deeply") from None
+    return validate(data)
 
 
 def first_path(graph: TaskGraph, length: int, cost: int, suffix_cost) -> PathRecord:

@@ -14,8 +14,6 @@ Random draws come from a ``random.Random`` the caller seeds.
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -231,15 +229,6 @@ def fan_exit_frequencies(
         bias = dist.quantile((k + 0.5) / samples)
         counts[fan_agent_exit(spec, bias, profile, reward)] += 1
     return FanFrequencies(tuple(counts), tuple(c / samples for c in counts), samples)
-
-
-def monte_carlo_inverse_share(prob: float, competitors: int, samples: int, seed: int) -> float:
-    """Sample mean of 1/(N+1) for N ~ Binomial(competitors, prob)."""
-    m = competitors
-    cdf = list(itertools.accumulate(
-        math.comb(m, k) * prob**k * (1.0 - prob) ** (m - k) for k in range(m + 1)))
-    draws = random.Random(seed).choices(range(m + 1), cum_weights=cdf, k=samples)
-    return math.fsum(1.0 / (n + 1) for n in draws) / samples
 
 
 # Random instance generation.  Layered DAGs with rational costs from a small

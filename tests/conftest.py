@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Mapping
 
 import pytest
@@ -97,6 +97,13 @@ def union(pieces) -> IntervalSet:
     return IntervalSet(tuple(merged))
 
 
+def binomial_inverse_share(p: float, m: int) -> float:
+    """E[1/(N+1)] for N ~ Binomial(m, p), summed term by term over Fraction(p)
+    and rounded once: the exact reference for ``expected_inverse_share``."""
+    q = Fraction(p)
+    return float(sum(comb(m, k) * q**k * (1 - q) ** (m - k) / (k + 1) for k in range(m + 1)))
+
+
 def reference_validate(data: Mapping) -> TaskGraph:
     """The string-keyed validate with one global edge sort, kept as the
     reference the position-based ``validate`` must agree with."""
@@ -126,14 +133,15 @@ def reference_validate(data: Mapping) -> TaskGraph:
     parsed: dict[str, Fraction] = {}  # each distinct cost string is parsed once
     for item in raw_edges:
         try:
-            tail, head = item["from"], item["to"]
+            tail, head, raw = item["from"], item["to"], item["cost"]
         except TypeError:
             raise ValueError(f"edge {item!r} must be a JSON object") from None
+        except KeyError as exc:
+            raise ValueError(f"edge {item!r} missing key {exc}") from None
         if not (isinstance(tail, str) and tail in known and isinstance(head, str) and head in known):
             raise ValueError(f"edge {tail}->{head} uses unknown vertex")
         if tail == head:
             raise CycleDetected(f"self loop at {tail}")
-        raw = item["cost"]
         if isinstance(raw, str):
             cost = parsed.get(raw)
             if cost is None:

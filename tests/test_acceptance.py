@@ -32,13 +32,14 @@ from biasgraph import (
 from biasgraph.oracle import (
     best_response_table,
     fan_exit_frequencies,
-    monte_carlo_inverse_share,
     random_dominant_graph,
     random_ladder_graph,
     random_layered_graph,
     reward_sweep_ne,
     sweep_candidates,
 )
+
+from conftest import binomial_inverse_share
 
 F = Fraction
 
@@ -185,13 +186,9 @@ def test_criterion_7_multi_competitor_forms():
         for i in range(1, 101):
             p = i / 100
             assert abs(reward_share_factor(p, 1) - p / 2) <= 1e-15
-        seed = 7000
         for p in (0.1, 0.5, 0.9):
             for m in (1, 2, 5, 10):
-                seed += 1
-                closed = expected_inverse_share(p, m)
-                sampled = monte_carlo_inverse_share(p, m, 10**6, seed=seed)
-                assert abs(closed - sampled) <= 1e-3
+                assert expected_inverse_share(p, m) == binomial_inverse_share(p, m)
         spec = FanSpec(5, F(2))
         er = BiasDistribution.equal_revenue(2.0)
         for s in (1.0, 4.0, 16.0):

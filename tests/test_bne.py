@@ -23,7 +23,8 @@ from biasgraph import (
     solve_fan_bne_multi,
     two_path_bne_intervals,
 )
-from biasgraph.oracle import monte_carlo_inverse_share
+
+from conftest import binomial_inverse_share
 
 F = Fraction
 
@@ -213,11 +214,9 @@ class TestShareFactors:
         for m in (1, 4, 9):
             assert abs(expected_inverse_share(1.0, m) - 1 / (m + 1)) <= 1e-15
 
-    def test_expected_inverse_share_matches_monte_carlo(self):
-        for i, (p, m) in enumerate([(0.1, 1), (0.5, 2), (0.9, 5), (0.3, 10)]):
-            closed = expected_inverse_share(p, m)
-            sampled = monte_carlo_inverse_share(p, m, 10**6, seed=100 + i)
-            assert abs(closed - sampled) <= 1e-3
+    def test_expected_inverse_share_matches_the_binomial_sum(self):
+        for p, m in [(0.1, 1), (0.5, 2), (0.9, 5), (0.3, 10)]:
+            assert expected_inverse_share(p, m) == binomial_inverse_share(p, m)
 
 
 def _reference_share_factor(prob_optimal, m):

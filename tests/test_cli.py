@@ -519,6 +519,12 @@ _ONE_EDGE = [{"from": "s", "to": "t", "cost": "1"}]
      "graph vertices and edges must be lists"),
     ({"vertices": ["s", "t"], "edges": {"a": 1}, "source": "s", "sink": "t"},
      "graph vertices and edges must be lists"),
+    ({"vertices": ["s", "t"], "edges": [{"to": "t", "cost": "1"}], "source": "s", "sink": "t"},
+     "edge {'to': 't', 'cost': '1'} missing key 'from'"),
+    ({"vertices": ["s", "t"], "edges": [{"from": "s", "cost": "1"}], "source": "s", "sink": "t"},
+     "edge {'from': 's', 'cost': '1'} missing key 'to'"),
+    ({"vertices": ["s", "t"], "edges": [{"from": "s", "to": "t"}], "source": "s", "sink": "t"},
+     "edge {'from': 's', 'to': 't'} missing key 'cost'"),
 ])
 def test_malformed_graph_file_exits_2(capsys, tmp_path, document, message):
     graph_file = tmp_path / "bad.json"
@@ -528,6 +534,20 @@ def test_malformed_graph_file_exits_2(capsys, tmp_path, document, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"vertices": ' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["array", "vertices"])
+def test_deeply_nested_graph_file_exits_2(capsys, tmp_path, text):
+    graph_file = tmp_path / "deep.json"
+    graph_file.write_text(text)
+    code = run(["validate", "--graph", str(graph_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: graph description nests too deeply\n"
 
 
 def test_graph_file_that_is_not_json_exits_2(capsys, tmp_path):
@@ -632,6 +652,17 @@ def _commands():
 
 _COMMANDS = dict(_commands())
 _ALL_OPTIONS = sorted({o for options in _COMMANDS.values() for o in options})
+
+
+@pytest.mark.parametrize("command", [c for c in sorted(_COMMANDS) if c != ("gen",)], ids=" ".join)
+def test_each_command_binds_its_handler(command):
+    argv = list(command)
+    for option, required in _COMMANDS[command].items():
+        if required:
+            argv += [option, {"--dist": "uniform", "--suite": "alg1"}.get(option, "1")]
+    args = cli._build_parser().parse_args(argv)
+    assert args.handler is getattr(cli, "_cmd_" + command[0].replace("-", "_"))
+
 _FRAGMENTS = ["0", "-1", "1e3", "nan", "inf", "-inf", "1/0", "P0", "P9", "s,t", "s,x,t",
               "FAN", "FIG1", "MISSING", "101", "1001"]
 # Plausible values per option; the work-bounded options take only cheap or
