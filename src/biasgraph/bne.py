@@ -10,8 +10,11 @@ transcendental).
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 from .instances import FanSpec
@@ -99,7 +102,7 @@ class FanOpponentProfile:
 class FanBneSolution:
     prob_optimal: float        # p, probability of taking the direct path
     cutoff: float              # bias below which agents finish immediately
-    threshold: float           # validity bound that p must exceed
+    threshold: float           # least p at which delayers reach Pn
     valid: bool
     expected_cost_ratio: float
     residual: float            # |F(cutoff) - p|
@@ -228,10 +231,38 @@ def fixed_point_p(dist: BiasDistribution, reward: float, competitors: int = 1) -
     )
 
 
-def _solve(spec: FanSpec, dist: BiasDistribution, reward: float, m: int,
-           threshold) -> FanBneSolution:
-    """Cutoff equilibrium with m competitors: largest p in (0,1] with
-    F(r*d(p, m) + c) = p.  ``threshold(c**(n-1))`` is the validity bound."""
+@functools.cache
+def _validity_threshold(spec: FanSpec, m: int) -> float:
+    """Least float p in (0, 1] at which a bias just above the cutoff walks to Pn.
+
+    At v(n-1) it gains r*(1-p)^m*m/(m+1) by exiting instead of at Pn, against a
+    cost gap of c^(n-1)*r*d(p, m); so with C = c^(n-1) = P/Q and p = a/b it
+    delays iff (1-p)^m*(C + m*(1+C)*p) <= C, decided on integers.  The left side
+    rises, then falls to 0 at p = 1, so these p form one interval [threshold, 1],
+    whose least float a bisection of the bit patterns of the positive floats finds."""
+    P, Q = (spec.c ** (spec.n - 1)).as_integer_ratio()
+
+    def p_at(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    def delays(bits: int) -> bool:
+        a, b = p_at(bits).as_integer_ratio()
+        return (b - a) ** m * (P * b + m * (P + Q) * a) <= P * b ** (m + 1)
+
+    one = struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    return p_at(bisect.bisect_left(range(one + 1), True, lo=1, key=delays))
+
+
+def solve_fan_bne_multi(spec: FanSpec, dist: BiasDistribution, reward: float,
+                        competitors: int) -> FanBneSolution:
+    """Cutoff equilibrium with m competitors per agent (m + 1 players): largest p in
+    (0,1] with F(r*d(p, m) + c) = p, valid (delayers really reach the last exit)
+    when p >= ``threshold``.  Needs n >= 2, since on a 1-fan P1 is the first delay."""
+    m = competitors
+    if m < 1:
+        raise ValueError("need at least one competitor")
+    if spec.n < 2:
+        raise ValueError(f"the cutoff equilibrium needs a fan with n >= 2, not n = {spec.n}")
     c = float(spec.c)
     if abs(dist.lower - c) > 1e-12:
         raise ValueError("distribution support must start at the fan growth factor")
@@ -239,34 +270,20 @@ def _solve(spec: FanSpec, dist: BiasDistribution, reward: float, m: int,
         c_pow_n = c**spec.n
     except OverflowError:
         raise ValueError(f"c**n overflows a float at c = {spec.c}, n = {spec.n}") from None
-    bound = threshold(c ** (spec.n - 1))
+    threshold = _validity_threshold(spec, m)
     p = fixed_point_p(dist, reward, m)
     found = p is not None
     p = p if found else 0.0
     cutoff = reward * reward_share_factor(p, m) + c
     residual = abs(dist.cdf(cutoff) - p) if found else 0.0
-    return FanBneSolution(p, cutoff, bound, p > bound, p + (1.0 - p) * c_pow_n, residual,
-                          found, m)
+    return FanBneSolution(p, cutoff, threshold, found and p >= threshold,
+                          p + (1.0 - p) * c_pow_n, residual, found, m)
 
 
 def solve_fan_bne(spec: FanSpec, dist: BiasDistribution, reward: float) -> FanBneSolution:
-    """Two-agent cutoff equilibrium: largest p in (0,1] with F(r*p/2 + c) = p.
-
-    The solution is valid (delayers really delay to the last exit) when
-    p > 1/(c**(n-1) + 1); otherwise it is returned with ``valid=False``.
-    """
-    return _solve(spec, dist, reward, 1, lambda c_pow: 1.0 / (c_pow + 1.0))
-
-
-def solve_fan_bne_multi(
-    spec: FanSpec, dist: BiasDistribution, reward: float, competitors: int
-) -> FanBneSolution:
-    """Cutoff equilibrium with m competitors per agent (m + 1 players total)."""
-    m = competitors
-    if m < 1:
-        raise ValueError("need at least one competitor")
-    return _solve(spec, dist, reward, m,
-                  lambda c_pow: math.log(1.0 + m + (m + 1) / (2.0 * c_pow)) / m)
+    """Two-agent cutoff equilibrium, ``solve_fan_bne_multi`` at m = 1: largest p
+    in (0,1] with F(r*p/2 + c) = p, valid when p >= 1/(c**(n-1) + 1)."""
+    return solve_fan_bne_multi(spec, dist, reward, 1)
 
 
 def closed_form_p(dist: BiasDistribution, reward: float) -> float:

@@ -313,10 +313,7 @@ def _cmd_bne_sweep(args) -> int:
     rows = []
     for i in range(args.steps):
         r = lo + (hi - lo) * i / (args.steps - 1)
-        if args.m == 1:
-            sol = solve_fan_bne(spec, dist, r)
-        else:
-            sol = solve_fan_bne_multi(spec, dist, r, args.m)
+        sol = solve_fan_bne_multi(spec, dist, r, args.m)
         rows.append((r, sol.prob_optimal, sol.valid, sol.expected_cost_ratio))
     if args.format == "json":
         _emit([

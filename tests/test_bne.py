@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -151,11 +150,12 @@ class TestSolver:
                 assert abs(got - closed_form_p(ex, r)) <= 1e-8
 
     def test_validity_threshold_flag(self):
-        # tiny fan: threshold 1/(c^0+1) = 1/2; ER at r=3 gives p = 1/3 < 1/2
-        spec = FanSpec(1, F(2))
-        sol = solve_fan_bne(spec, BiasDistribution.equal_revenue(2.0), 3.0)
+        # threshold 1/(c^(n-1) + 1) = 1/4; ER at r = 5/2 gives p = 1/5 < 1/4
+        spec = FanSpec(2, F(3))
+        sol = solve_fan_bne(spec, BiasDistribution.equal_revenue(3.0), 2.5)
         assert sol.found and not sol.valid
-        assert abs(sol.prob_optimal - 1 / 3) <= 1e-9
+        assert sol.threshold == 0.25
+        assert abs(sol.prob_optimal - 1 / 5) <= 1e-9
 
 
 class TestClosedForms:
@@ -260,9 +260,8 @@ class TestShareFactorBits:
 
 class TestMultiAgent:
     def test_one_competitor_reproduces_two_agent_solver(self):
-        """At m = 1 the two solvers agree bit for bit on every field but the
-        validity threshold (and so ``valid``), whose formulas differ."""
-        for n in range(1, 9):
+        """At m = 1 the two solvers agree bit for bit on every field."""
+        for n in range(2, 9):
             for c in (F(5, 4), F(3, 2), F(2), F(3)):
                 spec, lo = FanSpec(n, c), float(c)
                 for dist in (
@@ -272,9 +271,8 @@ class TestMultiAgent:
                 ):
                     for r in (0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 9.0, 20.0):
                         two = solve_fan_bne(spec, dist, r)
-                        multi = solve_fan_bne_multi(spec, dist, r, 1)
-                        assert dataclasses.replace(multi, threshold=two.threshold,
-                                                   valid=two.valid) == two, (n, c, dist, r)
+                        assert solve_fan_bne_multi(spec, dist, r, 1) == two, (n, c, dist, r)
+                        assert two.valid == (two.found and two.prob_optimal >= two.threshold)
 
     def test_equal_revenue_capped_by_limit_bound(self):
         spec = FanSpec(5, F(2))
@@ -295,11 +293,66 @@ class TestMultiAgent:
             ]
             assert all(a <= b + 1e-12 for a, b in zip(probs, probs[1:]))
 
-    def test_threshold_formula(self):
-        spec = FanSpec(5, F(2))
-        sol = solve_fan_bne_multi(spec, BiasDistribution.equal_revenue(2.0), 12.0, 3)
-        expected = math.log(1 + 3 + 4 / (2 * 2**4)) / 3
-        assert abs(sol.threshold - expected) <= 1e-15
+    def test_threshold_values(self):
+        spec, dist = FanSpec(5, F(2)), BiasDistribution.equal_revenue(2.0)
+        assert solve_fan_bne_multi(spec, dist, 12.0, 3).threshold == 0.029710415177595036
+        # the least float at or above 1/(c^(n-1) + 1) = 1/17
+        two = solve_fan_bne_multi(spec, dist, 12.0, 1).threshold
+        assert 0 <= F(two) - F(1, 17) < math.ulp(1 / 17)
+
+
+def _race_exit_above_cutoff(n, c, m, p, reward=F(6)):
+    """Exit index taken on the n-fan by a naive agent whose bias is 10**-30
+    above the cutoff, racing m opponents who each take P0 (1 edge) with
+    probability p and Pn (n + 1 edges) otherwise, the reward split among those
+    who finish first together.  Everything is an exact Fraction; at each vertex
+    the agent exits when its biased exit cost less its expected reward is at most
+    the cheapest unbiased continuation, so a tie exits.
+    """
+    p = F(p)
+    lengths = {1: p, n + 1: 1 - p}
+
+    def expected_reward(length):
+        later = sum(q for ell, q in lengths.items() if ell > length)
+        tied = lengths.get(length, 0)
+        return reward * sum(math.comb(m, k) * tied**k * later ** (m - k) / (k + 1)
+                            for k in range(m + 1))
+
+    exit_value = [c**i - expected_reward(i + 1) for i in range(n + 1)]
+    cutoff = min(exit_value[1:]) + expected_reward(1)
+    bias = cutoff + F(1, 10**30)
+    for i in range(n):
+        if bias * c**i - expected_reward(i + 1) <= min(exit_value[i + 1:]):
+            return i
+    return n
+
+
+class TestValidityRule:
+    """``threshold`` and ``valid`` against a literal race, not against the rule."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_threshold_is_the_least_p_at_which_delayers_reach_the_last_exit(self, m):
+        for n in range(2, 7):
+            for c in (F(5, 4), F(3, 2), F(2), F(3)):
+                dist = BiasDistribution.equal_revenue(float(c))
+                threshold = solve_fan_bne_multi(FanSpec(n, c), dist, 6.0, m).threshold
+                assert _race_exit_above_cutoff(n, c, m, threshold) == n, (n, c)
+                below = math.nextafter(threshold, 0)
+                assert _race_exit_above_cutoff(n, c, m, below) < n, (n, c)
+
+    def test_valid_is_the_race_reaching_the_last_exit(self):
+        seen = set()
+        for n in range(2, 7):
+            for c in (F(5, 4), F(3, 2), F(2)):
+                dist = BiasDistribution.equal_revenue(float(c))
+                for m in (1, 2, 4):
+                    for r in (2.5, 3.0, 4.0, 6.0, 10.0):
+                        sol = solve_fan_bne_multi(FanSpec(n, c), dist, r, m)
+                        assert sol.found
+                        reached = _race_exit_above_cutoff(n, c, m, sol.prob_optimal, F(r)) == n
+                        assert sol.valid == reached, (n, c, m, r)
+                        seen.add(sol.valid)
+        assert seen == {True, False}
 
 
 class TestTwoPathIntervals:

@@ -85,5 +85,11 @@ def test_stdout_is_the_recorded_text(command):
     assert _run(command) == _recorded()[command]
 
 
+def test_one_competitor_rows_are_the_two_agent_rows():
+    for command in _one_competitor_grid():
+        two_agent = command.replace("bne-fan-multi", "bne-fan").replace(" --m 1", "")
+        assert _recorded()[command] == _recorded()[two_agent], command
+
+
 if __name__ == "__main__":
     RECORD.write_text(json.dumps({c: _run(c) for c in COMMANDS}, indent=1) + "\n")

@@ -361,6 +361,7 @@ def test_bne_overflow_exits_2(capsys, argv):
 
 
 _ER_FAN = ["--n", "5", "--c", "2", "--dist", "equal-revenue"]
+_ONE_FAN = "the cutoff equilibrium needs a fan with n >= 2, not n = 1"
 
 
 @pytest.mark.parametrize("argv", [
@@ -394,6 +395,11 @@ def test_bne_work_past_its_bound_exits_2_at_once(capsys, argv):
      "need r-max >= r-min and at least two steps"),
     (["bne-sweep", *_ER_FAN, "--r-min", "2", "--r-max", "4", "--steps", "1"],
      "need r-max >= r-min and at least two steps"),
+    (["bne-fan", "--n", "1", "--c", "2", "--dist", "equal-revenue", "--r", "3"], _ONE_FAN),
+    (["bne-fan-multi", "--n", "1", "--c", "2", "--dist", "equal-revenue", "--m", "2", "--r", "6"],
+     _ONE_FAN),
+    (["bne-sweep", "--n", "1", "--c", "2", "--dist", "equal-revenue", "--r-min", "2",
+      "--r-max", "6"], _ONE_FAN),
 ])
 def test_bne_option_checks_exit_2(capsys, argv, message):
     code = run(argv)
