@@ -10,7 +10,8 @@ walked ``steps`` edges and would take one more, compares steps+1+j against the
 opponent length k: win below, tie at equality, lose above.  The minimum over
 continuations therefore reduces to three hop-bounded cheapest costs, which is
 what :func:`perceived_cost` evaluates.  The evaluation runs on integers, in a
-unit fixed once per traversal; only the logged costs become Fractions.
+unit fixed once per traversal; the logged costs become Fractions only when a
+trace's steps are first read.
 """
 
 from __future__ import annotations
@@ -74,6 +75,28 @@ class TraversalTrace:
     path: PathRecord
     steps: tuple[TraversalStep, ...]
 
+    @classmethod
+    def _from_log(cls, path: PathRecord, log: list, unit: int) -> TraversalTrace:
+        """A trace whose steps are built from ``log``, (at, chose, best, scored) per step
+        with costs in 1/unit, the first time anything reads them."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "path", path)
+        object.__setattr__(trace, "_log", (log, unit))
+        return trace
+
+    def __getattr__(self, name: str):
+        pending = self.__dict__.get("_log") if name == "steps" else None
+        if pending is None:  # no log, or a concurrent reader stored the steps and dropped it
+            return object.__getattribute__(self, name)
+        log, unit = pending
+        steps = tuple(
+            TraversalStep(at, chose, Fraction(best, unit),
+                          tuple((v, Fraction(cost, unit)) for v, cost in scored if v != chose))
+            for at, chose, best, scored in log)
+        object.__setattr__(self, "steps", steps)  # stored before the log goes
+        self.__dict__.pop("_log", None)
+        return steps
+
     def to_json_dict(self) -> dict:
         return {
             "path": list(self.path.vertices),
@@ -126,15 +149,14 @@ class _Perceiver:
             scored.append((head, bias * cost + best))
         return scored
 
-    def step(self, vertex: str, steps_taken: int, reference_next: str | None) -> TraversalStep:
-        """The cheapest perceived successor; ties go to ``reference_next``, else graph order."""
+    def step(self, vertex: str, steps_taken: int, reference_next: str | None) -> tuple:
+        """(vertex, chosen, its cost, every (head, cost)) for the cheapest perceived
+        successor; ties go to ``reference_next``, else graph order."""
         scored = self.scores(steps_taken, self.graph.arcs[vertex])
         chosen, best = min(scored, key=itemgetter(1))
         if reference_next is not None and (reference_next, best) in scored:
             chosen = reference_next
-        unit = self.unit
-        alternatives = tuple((v, Fraction(cost, unit)) for v, cost in scored if v != chosen)
-        return TraversalStep(vertex, chosen, Fraction(best, unit), alternatives)
+        return vertex, chosen, best, scored
 
 
 def perceived_cost(
@@ -164,17 +186,17 @@ def traverse(
         raise ValueError("opponent length must be at least 1")
     perceive = _Perceiver(graph, config, opponent, reward)
     prefix = [graph.source]
-    log: list[TraversalStep] = []
+    log = []
     ref = reference.vertices if reference is not None else ()
     while prefix[-1] != graph.sink:
         steps = len(prefix) - 1
         ref_next = ref[steps + 1] if steps + 1 < len(ref) else None
         taken = perceive.step(prefix[-1], steps, ref_next)
         log.append(taken)
-        if taken.chose != ref_next:
+        if taken[1] != ref_next:
             ref = ()
-        prefix.append(taken.chose)
-    return TraversalTrace(PathRecord.from_vertices(graph, prefix), tuple(log))
+        prefix.append(taken[1])
+    return TraversalTrace._from_log(PathRecord.from_vertices(graph, prefix), log, perceive.unit)
 
 
 def ratio_to_optimal(graph: TaskGraph, path: PathRecord) -> Fraction:

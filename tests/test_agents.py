@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ from biasgraph import (
     AgentConfig,
     RewardTie,
     TraversalState,
+    TraversalStep,
     ZeroOptimalCost,
     cost_ratio,
     fan_path,
@@ -153,6 +157,59 @@ class TestTraverse:
         payload = traverse(graph, bias2).to_json_dict()
         assert payload["cost"] == "21"
         assert payload["steps"][0]["alternatives"] == [{"vertex": "x", "perceived": "12"}]
+
+
+class TestLazyTrace:
+    """``traverse`` logs integers and builds its steps the first time they are read;
+    a trace behaves the same whether or not they have been read."""
+
+    REWARD = F(5, 7)
+
+    @staticmethod
+    def walks(tie_rule):
+        """(graph, config, opponent, a function making a fresh trace) over random
+        layered graphs, without an opponent and against lengths 1 to 3."""
+        rng = random.Random(83)
+        config = AgentConfig(F(7, 3), tie_rule)
+        for _ in range(15):
+            graph = random_layered_graph(rng)
+            for opponent in (None, 1, 2, 3):
+                yield graph, config, opponent, lambda g=graph, k=opponent: traverse(
+                    g, config, k, TestLazyTrace.REWARD)
+
+    @pytest.mark.parametrize("tie_rule", tuple(RewardTie))
+    def test_steps_rebuild_from_perceived_cost(self, tie_rule):
+        for graph, config, opponent, walk in self.walks(tie_rule):
+            trace = walk()
+            assert len(trace.steps) == trace.path.length
+            for i, step in enumerate(trace.steps):
+                assert (step.at, step.chose) == trace.path.vertices[i:i + 2]
+                costs = {e.head: perceived_cost(graph, TraversalState(step.at, i), e.head, config,
+                                                opponent, self.REWARD)
+                         for e in graph.edges if e.tail == step.at}
+                assert step == TraversalStep(step.at, step.chose, costs.pop(step.chose),
+                                             tuple(costs.items()))
+
+    @pytest.mark.parametrize("tie_rule", tuple(RewardTie))
+    def test_unread_trace_behaves_as_read(self, tie_rule):
+        probes = (lambda t: t, hash, repr, lambda t: t.to_json_dict(),
+                  lambda t: dataclasses.replace(t, steps=t.path.vertices),
+                  lambda t: dataclasses.replace(t, path=None),
+                  copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)))
+        for _, _, _, walk in self.walks(tie_rule):
+            read = walk()
+            read.steps
+            for probe in probes:
+                assert probe(walk()) == probe(read)
+                assert probe(read) == probe(walk())
+
+    @pytest.mark.parametrize("tie_rule", tuple(RewardTie))
+    def test_steps_built_once(self, tie_rule):
+        for _, _, _, walk in self.walks(tie_rule):
+            trace = walk()
+            assert "steps" not in vars(trace)
+            assert trace.steps is trace.steps
+            assert copy.deepcopy(walk()).steps == trace.steps
 
 
 class TestCostRatio:

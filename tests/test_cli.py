@@ -428,6 +428,11 @@ def test_verify_scale_past_its_bound_exits_2_at_once(capsys, suite):
     assert elapsed < 1.0
 
 
+# c = 1 + 10**-k written out: the numerator 10**k + 1 has k + 1 digits.
+_C_LONGEST = "1." + "0" * (cli.MAX_C_DIGITS - 2) + "1"
+_C_TOO_LONG = "1." + "0" * (cli.MAX_C_DIGITS - 1) + "1"
+
+
 @pytest.mark.parametrize("argv, names", [
     (["gen", "fan", "--n", "20000", "--c", "2"], ["--n", f"bound {cli.MAX_FAN_N}"]),
     (["gen", "fan", "--n", "44", "--c", "1e100"], ["--c", "--n", "4300 digits"]),
@@ -439,6 +444,13 @@ def test_verify_scale_past_its_bound_exits_2_at_once(capsys, suite):
       "--r-max", "6"], ["--n", f"bound {cli.MAX_FAN_N}"]),
     (["bne-fan", "--n", "500", "--c", "10", "--dist", "equal-revenue", "--r", "4"],
      ["c**n", "c = 10", "n = 500"]),
+    (["bne-fan", "--n", "1000", "--c", _C_TOO_LONG, "--dist", "equal-revenue", "--r", "4"],
+     ["--c", f"bound of {cli.MAX_C_DIGITS}"]),
+    (["bne-fan-multi", "--n", "1000", "--c", _C_TOO_LONG, "--dist", "equal-revenue", "--m", "100",
+      "--r", "6"], ["--c", f"bound of {cli.MAX_C_DIGITS}"]),
+    (["bne-sweep", "--n", "1000", "--c", _C_TOO_LONG, "--dist", "equal-revenue", "--r-min", "0",
+      "--r-max", "2", "--m", "100", "--steps", "100"],
+     ["--c", f"bound of {cli.MAX_C_DIGITS}"]),
 ])
 def test_fan_too_large_exits_2_at_once_naming_its_options(capsys, argv, names):
     start = time.perf_counter()
@@ -457,6 +469,12 @@ def test_fan_too_large_exits_2_at_once_naming_its_options(capsys, argv, names):
     ["gen", "fan", "--n", str(cli.MAX_FAN_N), "--c", "2"],
     ["gen", "fan", "--n", "42", "--c", "1e100"],
     ["bne-fan", "--n", str(cli.MAX_FAN_N), "--c", "2", "--dist", "equal-revenue", "--r", "4"],
+    ["bne-fan", "--n", "5", "--c", _C_LONGEST, "--dist", "equal-revenue", "--r", "4"],
+    ["bne-fan-multi", "--n", "5", "--c", _C_LONGEST, "--dist", "equal-revenue", "--m", "2",
+     "--r", "6"],
+    # digits are counted in lowest terms: this c is 3/2
+    ["bne-sweep", "--n", "5", "--c", "1.5" + "0" * cli.MAX_C_DIGITS, "--dist", "equal-revenue",
+     "--r-min", "2", "--r-max", "6", "--steps", "2", "--format", "json"],
 ])
 def test_fan_bounds_are_inclusive(capsys, argv):
     assert run(argv) == 0
@@ -670,7 +688,7 @@ def test_each_command_binds_its_handler(command):
     assert args.handler is getattr(cli, "_cmd_" + command[0].replace("-", "_"))
 
 _FRAGMENTS = ["0", "-1", "1e3", "nan", "inf", "-inf", "1/0", "P0", "P9", "s,t", "s,x,t",
-              "FAN", "FIG1", "MISSING", "101", "1001"]
+              "FAN", "FIG1", "MISSING", "101", "1001", _C_LONGEST, _C_TOO_LONG]
 # Plausible values per option; the work-bounded options take only cheap or
 # out-of-bound values, so that no example runs long.
 _NUMBERS = ["1", "2", "3", "1/2", "3/2", "5/2", "0.05"]
