@@ -149,14 +149,15 @@ class _Perceiver:
             scored.append((head, bias * cost + best))
         return scored
 
-    def step(self, vertex: str, steps_taken: int, reference_next: str | None) -> tuple:
-        """(vertex, chosen, its cost, every (head, cost)) for the cheapest perceived
-        successor; ties go to ``reference_next``, else graph order."""
+    def step(self, vertex: str, steps_taken: int,
+             reference_next: str | None) -> tuple[str, int, list[tuple[str, int]]]:
+        """(chosen, its cost, every (head, cost)) for the cheapest perceived successor;
+        ties go to ``reference_next``, else graph order."""
         scored = self.scores(steps_taken, self.graph.arcs[vertex])
         chosen, best = min(scored, key=itemgetter(1))
         if reference_next is not None and (reference_next, best) in scored:
             chosen = reference_next
-        return vertex, chosen, best, scored
+        return chosen, best, scored
 
 
 def perceived_cost(
@@ -191,11 +192,12 @@ def traverse(
     while prefix[-1] != graph.sink:
         steps = len(prefix) - 1
         ref_next = ref[steps + 1] if steps + 1 < len(ref) else None
-        taken = perceive.step(prefix[-1], steps, ref_next)
-        log.append(taken)
-        if taken[1] != ref_next:
+        at = prefix[-1]
+        chose, best, scored = perceive.step(at, steps, ref_next)
+        log.append((at, chose, best, scored))
+        if chose != ref_next:
             ref = ()
-        prefix.append(taken[1])
+        prefix.append(chose)
     return TraversalTrace._from_log(PathRecord.from_vertices(graph, prefix), log, perceive.unit)
 
 
