@@ -143,21 +143,15 @@ class _Perceiver:
             lose, tie, win = tables[head].cases(budget)
             best = scale * lose
             if tie is not None:
-                best = min(best, scale * tie - tie_reward)
+                tie = scale * tie - tie_reward
+                if tie < best:
+                    best = tie
                 if win is not None:
-                    best = min(best, scale * win - win_reward)
+                    win = scale * win - win_reward
+                    if win < best:
+                        best = win
             scored.append((head, bias * cost + best))
         return scored
-
-    def step(self, vertex: str, steps_taken: int,
-             reference_next: str | None) -> tuple[str, int, list[tuple[str, int]]]:
-        """(chosen, its cost, every (head, cost)) for the cheapest perceived successor;
-        ties go to ``reference_next``, else graph order."""
-        scored = self.scores(steps_taken, self.graph.arcs[vertex])
-        chosen, best = min(scored, key=itemgetter(1))
-        if reference_next is not None and (reference_next, best) in scored:
-            chosen = reference_next
-        return chosen, best, scored
 
 
 def perceived_cost(
@@ -186,14 +180,18 @@ def traverse(
     if opponent is not None and opponent < 1:
         raise ValueError("opponent length must be at least 1")
     perceive = _Perceiver(graph, config, opponent, reward)
+    arcs, sink = graph.arcs, graph.sink
     prefix = [graph.source]
     log = []
     ref = reference.vertices if reference is not None else ()
-    while prefix[-1] != graph.sink:
+    while prefix[-1] != sink:
         steps = len(prefix) - 1
         ref_next = ref[steps + 1] if steps + 1 < len(ref) else None
         at = prefix[-1]
-        chose, best, scored = perceive.step(at, steps, ref_next)
+        scored = perceive.scores(steps, arcs[at])
+        chose, best = min(scored, key=itemgetter(1))  # ties go to ref_next, else graph order
+        if ref_next is not None and (ref_next, best) in scored:
+            chose = ref_next
         log.append((at, chose, best, scored))
         if chose != ref_next:
             ref = ()

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from .agents import AgentConfig, RewardTie, TraversalTrace, traverse
 from .errors import BiasNotAboveC, NoDominantPath
-from .graph import HopCostTable, PathRecord, TaskGraph, first_path
+from .graph import PathRecord, TaskGraph, first_path
 from .instances import FanSpec
 from .intervals import Interval, IntervalSet
 
@@ -168,87 +168,34 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
 
 # Exact feasible-reward computation.
 #
-# Walking q with a decrementing hop budget, the perceived continuation value
-# from any vertex is the lower envelope of up to three lines in the reward r
-# (slopes 0, -1/2, -1 for the lose/tie/win cases; the -1/2 assumes split
-# ties).  Staying on the edge (u, v) weakly beats the deviation (u, v') when
-# every deviation line d lies at least margin = bias * (c(u, v) - c(u, v'))
-# above some stay line s.  For one pair (d, s) this holds on a closed
-# half-line of r >= 0, [0, root] or [root, inf), so for one d it holds on
-# [0, A] u [B, inf) and d excludes only the open gap (A, B).  The feasible
-# set is [0, inf) minus the union of all gaps, found by one sort and one
-# left-to-right sweep.
+# Walking q with a decrementing hop budget, an agent at u perceives the step to
+# w as bias * c(u, w) plus w's continuation value, the lower envelope of up to
+# three lines in the reward r (slopes 0, -1/2, -1 for the lose/tie/win cases;
+# the -1/2 assumes split ties).  The intercepts never fall from lose to tie to
+# win, so a line whose next steeper line has the same intercept lies on or
+# above it at every r >= 0; only the lines left after dropping those are read.
+# Staying on the edge (u, v) weakly beats every deviation (u, v') when every
+# deviation line d lies on or above some stay line s.  For one pair (d, s) this
+# holds on a closed half-line of r >= 0, [0, root] or [root, inf), so for one d
+# it holds on [0, A] u [B, inf) and d excludes only the open gap (A, B).  The
+# feasible set is [0, inf) minus the union of all gaps, found by one sort and
+# one left-to-right sweep.  Dropping lines keeps it exact: a dropped stay
+# line's half-lines lie inside those of the line under it, and a dropped
+# deviation line's gap lies inside the gap of the line under it.
 #
 # The arithmetic is on integers.  The hop tables count costs in 1/graph.unit;
-# scaled by unit = bias.denominator * graph.unit every cost and margin is an
-# integer.  Slopes are kept in halves (0, -1, -2), so every root and crossing
+# scaled by unit = bias.denominator * graph.unit every cost and biased edge is
+# an integer.  Slopes are kept in halves (0, -1, -2), so every root and crossing
 # is an integer count of 1/unit; only the returned endpoints become Fractions.
 
 
-def _scale(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, int]:
-    """The validated bias, and the unit: costs and rewards are counted in 1/unit."""
-    _require_full_path(graph, q)
-    bias = AgentConfig(bias).bias
-    return bias, bias.denominator * graph.unit
-
-
-def _case_lines(table: HopCostTable, budget: int, scale: int) -> list[tuple[int, int]]:
-    """(intercept, half-slope) lines whose lower envelope is the continuation
-    value, with the table's costs multiplied by ``scale``."""
-    lose, tie, win = table.cases(budget)
-    lines = [(lose * scale, 0)]
-    if tie is not None:
-        lines.append((tie * scale, -1))
-    if win is not None:
-        lines.append((win * scale, -2))
-    return lines
-
-
-def _crossings(lines: list[tuple[int, int]]) -> set[int]:
-    points: set[int] = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            (a1, s1), (a2, s2) = lines[i], lines[j]
-            if s1 != s2:
-                r = 2 * (a1 - a2) // (s2 - s1)
-                if r > 0:
-                    points.add(r)
-    return points
-
-
-def _deviations(graph: TaskGraph, q: PathRecord, bias: Fraction):
-    """(stay_lines, dev_lines, margin) for every edge (u, v) of q and every
-    deviation (u, v'), where margin is bias * (c(u, v) - c(u, v')) * unit."""
-    budget, arcs, tables = q.length, graph.arcs, graph.hop_tables
-    numerator, denominator = bias.numerator, bias.denominator
-    for u, v in zip(q.vertices, q.vertices[1:]):
-        budget -= 1
-        stay_edge_cost = graph.arc_cost(u, v)
-        stay_lines = _case_lines(tables[v], budget, denominator)
-        for head, cost in arcs[u]:
-            if head != v:
-                margin = numerator * (stay_edge_cost - cost)
-                yield stay_lines, _case_lines(tables[head], budget, denominator), margin
-
-
-def _gaps(stay_lines: list[tuple[int, int]], dev_lines: list[tuple[int, int]], margin: int):
-    """For each deviation line, the open gap (lo, hi) where it lies less than
-    margin above every stay line, unless empty; lo = -1 stands for a gap that
-    reaches below 0 and hi = None for one with no upper end."""
-    for a_d, s_d in dev_lines:
-        lo, hi = -1, None
-        for a_s, s_s in stay_lines:
-            x, k = 2 * (a_d - a_s - margin), s_d - s_s
-            if k == 0:
-                if x >= 0:
-                    break
-            elif k < 0:  # holds on [0, -x / k]
-                lo = max(lo, -x // k)
-            elif hi is None or -x // k < hi:  # holds on [-x / k, inf)
-                hi = -x // k
-        else:
-            if hi is None or hi > lo:
-                yield lo, hi
+def _crossings(cases: tuple[int, int | None, int | None], scale: int) -> set[int]:
+    """The positive crossings among the full lose/tie/win lines, in 1/unit."""
+    lose, tie, win = cases
+    if tie is None:
+        return set()
+    rises = (2 * (tie - lose),) if win is None else (2 * (tie - lose), win - lose, 2 * (win - tie))
+    return {scale * rise for rise in rises if rise > 0}
 
 
 def _sweep(gaps: list[tuple[int, int | None]]) -> list[tuple[int, int | None]]:
@@ -265,6 +212,58 @@ def _sweep(gaps: list[tuple[int, int | None]]) -> list[tuple[int, int | None]]:
     return pieces
 
 
+def _pieces(graph: TaskGraph, q: PathRecord, bias: Fraction,
+            crossings: set[int] | None = None) -> tuple[list[tuple[int, int | None]], int]:
+    """The feasible set as sorted disjoint closed pieces in 1/unit, and the unit.
+
+    Every deviation line is compared with the stay lines for the open gap
+    (lo, hi) where it lies below all of them; lo = -1 stands for a gap that
+    reaches below 0 and hi = None for one with no upper end.  Given a
+    ``crossings`` set, adds to it the crossings of the full case lines of every
+    successor of each on-path vertex with a deviation.
+    """
+    _require_full_path(graph, q)
+    bias = AgentConfig(bias).bias
+    numerator, scale = bias.numerator, bias.denominator
+    unit, arcs, tables, budget = scale * graph.unit, graph.arcs, graph.hop_tables, q.length
+    gaps: list[tuple[int, int | None]] = []
+    for u, v in zip(q.vertices, q.vertices[1:]):
+        budget -= 1
+        out = arcs.get(u, ())
+        stay: list[tuple[int, int]] = []
+        dev: list[tuple[int, int]] = []  # the lines of every deviation, as one list
+        for head, cost in out:
+            lose, tie, win = cases = tables[head].cases(budget)
+            if crossings is not None and len(out) > 1:
+                crossings |= _crossings(cases, scale)
+            lines, edge = stay if head == v else dev, numerator * cost
+            if tie != lose:
+                lines.append((edge + scale * lose, 0))
+            if tie is not None and win != tie:
+                lines.append((edge + scale * tie, -1))
+            if win is not None:
+                lines.append((edge + scale * win, -2))
+        if not stay:
+            raise KeyError(f"no edge {u}->{v}")
+        for a_d, s_d in dev:
+            lo, hi = -1, None
+            for a_s, s_s in stay:  # d - s = (a_d - a_s) + k * r / 2 >= 0 where k * r >= x
+                x, k = 2 * (a_s - a_d), s_d - s_s
+                if k == 0:
+                    if x <= 0:
+                        break
+                elif k < 0:  # holds on [0, x / k]
+                    lo = max(lo, x // k)
+                elif hi is None or x // k < hi:  # holds on [x / k, inf)
+                    hi = x // k
+            else:
+                if hi is None or hi > lo:
+                    if hi is None and lo < 0 and crossings is None:  # excludes every reward
+                        return [], unit
+                    gaps.append((lo, hi))
+    return _sweep(gaps), unit
+
+
 def feasible_rewards(graph: TaskGraph, q: PathRecord, bias: Fraction) -> IntervalSet:
     """The exact set of rewards making q a symmetric Nash equilibrium.
 
@@ -273,32 +272,21 @@ def feasible_rewards(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Interva
     Assumes split ties (``RewardTie.SPLIT``: a tie pays r/2); under another
     tie rule the answer can disagree with ``check_symmetric_ne``.
     """
-    bias, unit = _scale(graph, q, bias)
-    gaps: list[tuple[int, int | None]] = []
-    for stay_lines, dev_lines, margin in _deviations(graph, q, bias):
-        for gap in _gaps(stay_lines, dev_lines, margin):
-            if gap == (-1, None):  # excludes every reward
-                return IntervalSet.empty()
-            gaps.append(gap)
+    pieces, unit = _pieces(graph, q, bias)
     return IntervalSet(tuple(
         Interval(Fraction(lo, unit), None if hi is None else Fraction(hi, unit))
-        for lo, hi in _sweep(gaps)
+        for lo, hi in pieces
     ))
 
 
 def algorithm_breakpoints(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, ...]:
-    """0, every positive crossing among the stay lines and among the deviation
-    lines of every deviation, and the feasible set's endpoints, sorted.
+    """0, every positive crossing among the full case lines of every successor
+    of each on-path vertex with a deviation, and the feasible set's endpoints,
+    sorted.
 
     Like :func:`feasible_rewards`, assumes split ties (a tie pays r/2).
     """
-    bias, unit = _scale(graph, q, bias)
-    points, gaps, seen = {0}, [], None
-    for stay_lines, dev_lines, margin in _deviations(graph, q, bias):
-        if stay_lines is not seen:  # one list per on-path edge
-            seen = stay_lines
-            points |= _crossings(stay_lines)
-        points |= _crossings(dev_lines)
-        gaps.extend(_gaps(stay_lines, dev_lines, margin))
-    points.update(p for piece in _sweep(gaps) for p in piece if p is not None)
+    points = {0}
+    pieces, unit = _pieces(graph, q, bias, points)
+    points.update(p for piece in pieces for p in piece if p is not None)
     return tuple(Fraction(p, unit) for p in sorted(points))

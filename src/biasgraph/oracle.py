@@ -246,6 +246,12 @@ def random_layered_graph(
     skip_prob: float = 0.3,
     cost_grid: tuple[Fraction, ...] = COST_GRID,
 ) -> TaskGraph:
+    return validate(_layered(rng, max_vertices, min_interior, max_interior, skip_prob, cost_grid))
+
+
+def _layered(rng, max_vertices: int, min_interior: int, max_interior: int, skip_prob: float,
+             cost_grid: tuple[Fraction, ...]) -> dict:
+    """The description :func:`random_layered_graph` validates."""
     n_layers = rng.randrange(min_interior, max_interior + 1)
     widths = []
     budget = max_vertices - 2
@@ -285,7 +291,7 @@ def random_layered_graph(
             if rng.random() < skip_prob:
                 add_edge(u, rng.choice(layers[i + 2]))
 
-    return validate({"vertices": vertices, "edges": edges, "source": "s", "sink": "t"})
+    return {"vertices": vertices, "edges": edges, "source": "s", "sink": "t"}
 
 
 def random_dominant_graph(rng, max_vertices: int = 10) -> TaskGraph:
@@ -296,15 +302,7 @@ def random_dominant_graph(rng, max_vertices: int = 10) -> TaskGraph:
     other path has length three or more, and edge costs of at least one, so
     every other path costs at least three.
     """
-    base = random_layered_graph(
-        rng,
-        max_vertices=max_vertices - 1,
-        min_interior=2,
-        max_interior=3,
-        skip_prob=0.0,
-        cost_grid=tuple(c for c in COST_GRID if c >= 1),
-    )
-    data = base.to_json_dict()
+    data = _layered(rng, max_vertices - 1, 2, 3, 0.0, tuple(c for c in COST_GRID if c >= 1))
     data["vertices"].append("w")
     data["edges"].append({"from": "s", "to": "w", "cost": "1/2"})
     data["edges"].append({"from": "w", "to": "t", "cost": "1/2"})

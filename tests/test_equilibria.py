@@ -474,3 +474,65 @@ class TestFeasibleRewardsSweep:
         for q in enumerate_paths(graph):
             assert feasible_rewards(graph, q, bias) == reference_feasible_rewards(graph, q, bias), \
                 q.vertices
+
+
+# Line pruning.  A vertex's (lose, tie, win) cases never fall, and a case line
+# whose next steeper line has the same intercept lies above it at every r >= 0,
+# so feasible_rewards reads only the others.  Each pattern below is built at
+# budget 2 from a direct edge to t (win), a two-edge path (tie) and a
+# three-edge path (lose); a cost equal to the next case's is not built
+# cheaper, so that case's line takes it.
+
+CASE_PATTERNS = [
+    (5, None, None),  # only a three-edge path: the lose line alone
+    (3, 6, None),
+    (6, 6, None),  # lose == tie: the lose line is dropped
+    (2, 5, 9),
+    (5, 5, 9),  # lose == tie
+    (2, 9, 9),  # tie == win: the tie line is dropped
+    (9, 9, 9),  # both dropped: the win line alone
+]
+
+
+def _case_gadget(x, lose, tie, win):
+    """Edges from x to t with cases (lose, tie, win) at budget 2."""
+    edges = [(x, "t", win)] if win is not None else []
+    if tie is not None:
+        edges += [(x, f"{x}2", tie if win is None or tie < win else tie + 1), (f"{x}2", "t", 0)]
+    chain = lose if tie is None or lose < tie else lose + 1
+    return edges + [(x, f"{x}3a", chain), (f"{x}3a", f"{x}3b", 0), (f"{x}3b", "t", 0)]
+
+
+@pytest.mark.parametrize("stay", [p for p in CASE_PATTERNS if p[1] is not None])
+@pytest.mark.parametrize("dev", CASE_PATTERNS)
+def test_pruned_case_lines_keep_the_reward_set(stay, dev):
+    for c_v, c_w in ((0, 0), (1, 0), (0, 3), (2, 1)):
+        graph = build_graph([("s", "v", c_v), ("s", "w", c_w)] + _case_gadget("v", *stay)
+                            + _case_gadget("w", *dev))
+        assert (graph.hop_tables["v"].cases(2), graph.hop_tables["w"].cases(2)) == (stay, dev)
+        q = PathRecord.from_vertices(graph, ("s", "v", "v2", "t"))
+        for bias in (F(1), F(3, 2), F(7, 3)):
+            feasible = feasible_rewards(graph, q, bias)
+            assert feasible == reference_feasible_rewards(graph, q, bias), (c_v, c_w, bias)
+            points = algorithm_breakpoints(graph, q, bias)
+            probes = set(points) | {(a + b) / 2 for a, b in zip(points, points[1:])}
+            for r in probes | {points[-1] + 1}:
+                assert feasible.contains(r) == bool(check_symmetric_ne(graph, q, r, bias)), r
+
+
+def _fractional_layered_graph(rng):
+    """A random layered graph with edge costs over one denominator of 1, 2, 3 and 7."""
+    base = random_layered_graph(rng, max_vertices=10, max_interior=4)
+    d = rng.choice((1, 2, 3, 7))
+    return build_graph([(e.tail, e.head, F(rng.randrange(8 * d), d)) for e in base.edges],
+                       vertices=base.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       bias=st.sampled_from((F(1), F(101, 100), F(6, 5), F(3, 2), F(2), F(7, 3), F(5))))
+def test_pruned_lines_match_fraction_reference_on_fractional_costs(seed, bias):
+    graph = _fractional_layered_graph(random.Random(seed))
+    for q in enumerate_paths(graph):
+        assert feasible_rewards(graph, q, bias) == reference_feasible_rewards(graph, q, bias), \
+            q.vertices

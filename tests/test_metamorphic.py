@@ -7,6 +7,10 @@ factor 1000003/999983 (both prime) turns the benchmark graphs' unit of 2 into
 a 21-bit one, so the relation exercises the integer scaling of ``graph.unit``
 and the floor divisions of the reward sets far from the small units the other
 tests use.
+
+Two relations check the large graphs against themselves at one unit: the
+reward set holds exactly where the traversal check holds, probed around every
+breakpoint, and at bias 1 the walk costs the cheapest cost.
 """
 
 import importlib.util
@@ -16,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from biasgraph import (AgentConfig, Interval, PathRecord, RewardTie, check_symmetric_ne,
-                       feasible_rewards, traverse, validate)
+from biasgraph import (AgentConfig, Interval, PathRecord, RewardTie, algorithm_breakpoints,
+                       check_symmetric_ne, feasible_rewards, traverse, validate)
+from biasgraph.oracle import sweep_candidates
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAMBDA = Fraction(1000003, 999983)
@@ -102,3 +107,17 @@ def test_feasible_reward_endpoints_scale(pair, bias):
         expected = [Interval(i.lo * LAMBDA, None if i.hi is None else i.hi * LAMBDA)
                     for i in feasible_rewards(graph, q, bias).intervals]
         assert list(feasible_rewards(scaled, _on(scaled, q), bias).intervals) == expected
+
+
+@pytest.mark.parametrize("bias", (Fraction(3, 2), Fraction(2), Fraction(5)))
+def test_reward_set_holds_where_the_traversal_check_holds(pair, bias):
+    graph, _ = pair
+    for q in _paths(graph, bias)[1:]:
+        feasible = feasible_rewards(graph, q, bias)
+        for r in sweep_candidates(algorithm_breakpoints(graph, q, bias)):
+            assert feasible.contains(r) == bool(check_symmetric_ne(graph, q, r, bias)), (q.vertices, r)
+
+
+def test_unbiased_walk_costs_the_cheapest_cost(pair):
+    for graph in pair:
+        assert traverse(graph, AgentConfig(1)).path.cost == graph.cheapest_cost(graph.source)
