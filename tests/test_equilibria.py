@@ -477,11 +477,11 @@ class TestFeasibleRewardsSweep:
 
 
 # Line pruning.  A vertex's (lose, tie, win) cases never fall, and a case line
-# whose next steeper line has the same intercept lies above it at every r >= 0,
-# so feasible_rewards reads only the others.  Each pattern below is built at
-# budget 2 from a direct edge to t (win), a two-edge path (tie) and a
-# three-edge path (lose); a cost equal to the next case's is not built
-# cheaper, so that case's line takes it.
+# whose next steeper line has the same intercept lies on or above it at every
+# r >= 0, so feasible_rewards reads only the others.  Each pattern below is
+# built at budget 2 from a direct edge to t (win), a two-edge path (tie) and a
+# three-edge path (lose).  Where a case equals the next one, its own path is
+# built one dearer, so the shorter path sets both.
 
 CASE_PATTERNS = [
     (5, None, None),  # only a three-edge path: the lose line alone
@@ -528,7 +528,7 @@ def _fractional_layered_graph(rng):
                        vertices=base.vertices)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        bias=st.sampled_from((F(1), F(101, 100), F(6, 5), F(3, 2), F(2), F(7, 3), F(5))))
 def test_pruned_lines_match_fraction_reference_on_fractional_costs(seed, bias):
