@@ -18,12 +18,7 @@ from functools import cache
 from pathlib import Path
 
 from .agents import AgentConfig, RewardTie, ratio_to_optimal, traverse
-from .bne import (
-    BiasDistribution,
-    FanBneSolution,
-    solve_fan_bne,
-    solve_fan_bne_multi,
-)
+from .bne import BiasDistribution, FanBneSolution, solve_fan_bne_multi
 from .equilibria import check_symmetric_ne, classify_unbiased, feasible_rewards
 from .errors import BiasGraphError
 from .graph import TaskGraph, load_graph, parse_rational
@@ -183,9 +178,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reward", type=_rational, required=True)
     p.add_argument("--tie", choices=[t.value for t in RewardTie], default="split")
 
-    p = command("bne-fan", _cmd_bne_fan, parents=[bne],
+    p = command("bne-fan", _cmd_bne_fan_multi, parents=[bne],
                 help="two-agent cutoff equilibrium on the fan")
     p.add_argument("--r", type=_rational, required=True)
+    p.set_defaults(m=1, per_agent_s=None)
 
     p = command("bne-fan-multi", _cmd_bne_fan_multi, parents=[bne],
                 help="cutoff equilibrium with m competitors")
@@ -297,21 +293,20 @@ def _cmd_unbiased_eq(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bne_fan(args) -> int:
-    spec = _bne_spec(args)
-    return _emit_solution(solve_fan_bne(spec, _dist_from_args(args), float(args.r)))
-
-
 def _cmd_bne_fan_multi(args) -> int:
+    """bne-fan-multi, and bne-fan, which is it at --m 1 with --r required."""
     spec = _bne_spec(args)
     if (args.r is None) == (args.per_agent_s is None):
         raise ValueError("give exactly one of --r or --per-agent-s")
     _at_most("--m", args.m, MAX_COMPETITORS)
+    dist = _dist_from_args(args)
     if args.r is not None:
         reward = float(args.r)
     else:
         reward = (args.m + 1) * float(args.per_agent_s)
-    return _emit_solution(solve_fan_bne_multi(spec, _dist_from_args(args), reward, args.m))
+        if not math.isfinite(reward):
+            raise ValueError("(--m + 1) * --per-agent-s overflows a float")
+    return _emit_solution(solve_fan_bne_multi(spec, dist, reward, args.m))
 
 
 def _cmd_bne_sweep(args) -> int:
@@ -322,6 +317,8 @@ def _cmd_bne_sweep(args) -> int:
         raise ValueError("need r-max >= r-min and at least two steps")
     _at_most("--steps", args.steps, MAX_SWEEP_STEPS)
     _at_most("--m", args.m, MAX_COMPETITORS)
+    if not math.isfinite((hi - lo) * (args.steps - 1)):
+        raise ValueError("(--r-max - --r-min) * (--steps - 1) overflows a float")
     rows = []
     for i in range(args.steps):
         r = lo + (hi - lo) * i / (args.steps - 1)

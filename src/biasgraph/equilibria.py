@@ -181,21 +181,13 @@ def dominant_path_reward(graph: TaskGraph, bias: Fraction, agents: int = 2) -> D
 # feasible set is [0, inf) minus the union of all gaps, found by one sort and
 # one left-to-right sweep.  Dropping lines keeps it exact: a dropped stay
 # line's half-lines lie inside those of the line under it, and a dropped
-# deviation line's gap lies inside the gap of the line under it.
+# deviation line's gap lies inside the gap of the line under it.  Crossings
+# among the kept lines are where an envelope bends (algorithm_breakpoints).
 #
 # The arithmetic is on integers.  The hop tables count costs in 1/graph.unit;
 # scaled by unit = bias.denominator * graph.unit every cost and biased edge is
 # an integer.  Slopes are kept in halves (0, -1, -2), so every root and crossing
 # is an integer count of 1/unit; only the returned endpoints become Fractions.
-
-
-def _crossings(cases: tuple[int, int | None, int | None], scale: int) -> set[int]:
-    """The positive crossings among the full lose/tie/win lines, in 1/unit."""
-    lose, tie, win = cases
-    if tie is None:
-        return set()
-    rises = (2 * (tie - lose),) if win is None else (2 * (tie - lose), win - lose, 2 * (win - tie))
-    return {scale * rise for rise in rises if rise > 0}
 
 
 def _sweep(gaps: list[tuple[int, int | None]]) -> list[tuple[int, int | None]]:
@@ -219,7 +211,7 @@ def _pieces(graph: TaskGraph, q: PathRecord, bias: Fraction,
     Every deviation line is compared with the stay lines for the open gap
     (lo, hi) where it lies below all of them; lo = -1 stands for a gap that
     reaches below 0 and hi = None for one with no upper end.  Given a
-    ``crossings`` set, adds to it the crossings of the full case lines of every
+    ``crossings`` set, adds to it the crossings among the kept lines of every
     successor of each on-path vertex with a deviation.
     """
     _require_full_path(graph, q)
@@ -233,16 +225,19 @@ def _pieces(graph: TaskGraph, q: PathRecord, bias: Fraction,
         stay: list[tuple[int, int]] = []
         dev: list[tuple[int, int]] = []  # the lines of every deviation, as one list
         for head, cost in out:
-            lose, tie, win = cases = tables[head].cases(budget)
-            if crossings is not None and len(out) > 1:
-                crossings |= _crossings(cases, scale)
+            lose, tie, win = tables[head].cases(budget)
             lines, edge = stay if head == v else dev, numerator * cost
+            first = len(lines)
             if tie != lose:
                 lines.append((edge + scale * lose, 0))
             if tie is not None and win != tie:
                 lines.append((edge + scale * tie, -1))
             if win is not None:
                 lines.append((edge + scale * win, -2))
+            if crossings is not None and len(out) > 1:
+                own = lines[first:]  # intercepts strictly rise with steepness: crossings are > 0
+                crossings.update(2 * (a2 - a1) // (s1 - s2)
+                                 for a1, s1 in own for a2, s2 in own if s2 < s1)
         if not stay:
             raise KeyError(f"no edge {u}->{v}")
         for a_d, s_d in dev:
@@ -280,11 +275,10 @@ def feasible_rewards(graph: TaskGraph, q: PathRecord, bias: Fraction) -> Interva
 
 
 def algorithm_breakpoints(graph: TaskGraph, q: PathRecord, bias: Fraction) -> tuple[Fraction, ...]:
-    """0, every positive crossing among the full case lines of every successor
-    of each on-path vertex with a deviation, and the feasible set's endpoints,
-    sorted.
-
-    Like :func:`feasible_rewards`, assumes split ties (a tie pays r/2).
+    """0, the feasible set's endpoints and every crossing among the lines
+    :func:`feasible_rewards` reads for each successor of an on-path vertex with
+    a deviation, sorted: each such envelope is linear between consecutive
+    points.  Like :func:`feasible_rewards`, assumes split ties (a tie pays r/2).
     """
     points = {0}
     pieces, unit = _pieces(graph, q, bias, points)

@@ -238,15 +238,9 @@ def fan_exit_frequencies(
 COST_GRID = tuple(Fraction(x) for x in ("0", "1/2", "1", "2", "5", "8"))
 
 
-def random_layered_graph(
-    rng,
-    max_vertices: int = 8,
-    min_interior: int = 1,
-    max_interior: int = 3,
-    skip_prob: float = 0.3,
-    cost_grid: tuple[Fraction, ...] = COST_GRID,
-) -> TaskGraph:
-    return validate(_layered(rng, max_vertices, min_interior, max_interior, skip_prob, cost_grid))
+def random_layered_graph(rng, max_vertices: int = 8, min_interior: int = 1,
+                         max_interior: int = 3) -> TaskGraph:
+    return validate(_layered(rng, max_vertices, min_interior, max_interior, 0.3, COST_GRID))
 
 
 def _layered(rng, max_vertices: int, min_interior: int, max_interior: int, skip_prob: float,

@@ -589,13 +589,29 @@ def test_graph_file_that_is_not_json_exits_2(capsys, tmp_path):
      "--r-max", "1.7e308", "--steps", "3", "--format", "json"],
     ["bne-fan-multi", "--n", "5", "--c", "2", "--dist", "equal-revenue", "--m", "3",
      "--per-agent-s", "1e308"],
+    ["bne-sweep", *_ER_FAN, "--r-min", "0", "--r-max", "1e308", "--steps", "3"],
+    ["bne-fan-multi", "--n", "5", "--c", "2", "--dist", "uniform", "--d", "3", "--m", "100",
+     "--per-agent-s", "1e307"],
 ])
 def test_non_finite_json_exits_2(capsys, argv):
+    # a reward past the float range is refused before any solve, naming the
+    # options whose product overflows; a CSV sweep used to print an inf row
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: Out of range float values are not JSON compliant\n"
+    assert captured.err == {
+        "bne-sweep": "error: (--r-max - --r-min) * (--steps - 1) overflows a float\n",
+        "bne-fan-multi": "error: (--m + 1) * --per-agent-s overflows a float\n",
+    }[argv[0]]
+
+
+def test_sweep_to_the_float_limit_stays_in_range(capsys):
+    # (r-max - r-min) * i stays finite here, so every row is a reward asked for
+    code, out = invoke(capsys, "bne-sweep", *_ER_FAN, "--r-min", "0", "--r-max", "1e308",
+                       "--steps", "2")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0", "1e+308"]
 
 
 def test_huge_finite_answer_exits_0_with_strict_json(capsys):
@@ -685,10 +701,11 @@ def test_each_command_binds_its_handler(command):
         if required:
             argv += [option, {"--dist": "uniform", "--suite": "alg1"}.get(option, "1")]
     args = cli._build_parser().parse_args(argv)
-    assert args.handler is getattr(cli, "_cmd_" + command[0].replace("-", "_"))
+    name = {"bne-fan": "bne-fan-multi"}.get(command[0], command[0])  # bne-fan is it at m = 1
+    assert args.handler is getattr(cli, "_cmd_" + name.replace("-", "_"))
 
-_FRAGMENTS = ["0", "-1", "1e3", "nan", "inf", "-inf", "1/0", "P0", "P9", "s,t", "s,x,t",
-              "FAN", "FIG1", "MISSING", "101", "1001", _C_LONGEST, _C_TOO_LONG]
+_FRAGMENTS = ["0", "-1", "1e3", "1e308", "nan", "inf", "-inf", "1/0", "P0", "P9", "s,t",
+              "s,x,t", "FAN", "FIG1", "MISSING", "101", "1001", _C_LONGEST, _C_TOO_LONG]
 # Plausible values per option; the work-bounded options take only cheap or
 # out-of-bound values, so that no example runs long.
 _NUMBERS = ["1", "2", "3", "1/2", "3/2", "5/2", "0.05"]
@@ -752,5 +769,6 @@ def test_argv_never_escapes_the_exit_contract(tmp_path_factory, argv):
         formats = [value for option, value in zip(argv, argv[1:]) if option == "--format"]
         if argv[0] == "bne-sweep" and formats[-1:] != ["json"]:
             assert out.getvalue().startswith("r,p,valid,cost_ratio\n"), argv
+            assert "inf" not in out.getvalue() and "nan" not in out.getvalue(), argv
         else:
             json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -34,7 +34,7 @@ from biasgraph.oracle import (
     random_layered_graph,
 )
 
-from conftest import build_graph, coprime_graph, spine_graph, union
+from conftest import build_graph, coprime_graph, reference_staircases, spine_graph, union
 
 F = Fraction
 
@@ -321,8 +321,8 @@ class TestFeasibleRewards:
 
     def test_breakpoints_pinned(self, fan5):
         # the alg1 suite sweeps these points; a change here changes what it checks
-        for name, key, expected in (("fig7a", "Q", (0, 97, 194, 196)),
-                                    ("fig7a", "V", (0, 97, 194)),
+        for name, key, expected in (("fig7a", "Q", (0, 97, 196)),
+                                    ("fig7a", "V", (0, 194)),
                                     ("fig7b", "Q", (0, 6, 10))):
             graph, meta = make_named_instance(name)
             q = PathRecord.from_vertices(graph, meta[key])
@@ -422,7 +422,7 @@ class TestFeasibleRewardsSweep:
         q = PathRecord.from_vertices(graph, ("s", "v0", "v1", "v7", "t"))
         feasible = feasible_rewards(graph, q, F(4))
         assert feasible.to_json_list() == [{"lo": "0", "hi": "2"}, {"lo": "14", "hi": "126"}]
-        assert algorithm_breakpoints(graph, q, F(4)) == (0, 1, 2, 8, 14, 16, 26, 126)
+        assert algorithm_breakpoints(graph, q, F(4)) == (0, 2, 8, 14, 26, 126)
         for r, stays in ((2, True), (3, False), (14, True), (127, False)):
             assert check_symmetric_ne(graph, q, F(r), F(4)).is_equilibrium == stays, r
 
@@ -536,3 +536,63 @@ def test_pruned_lines_match_fraction_reference_on_fractional_costs(seed, bias):
     for q in enumerate_paths(graph):
         assert feasible_rewards(graph, q, bias) == reference_feasible_rewards(graph, q, bias), \
             q.vertices
+
+
+# Breakpoints.  At each on-path vertex with a deviation, every successor w
+# perceives min(lose, tie - r/2, win - r) plus a constant; the breakpoints are
+# 0, the reward set's endpoints and the crossings among the lines of that
+# envelope that survive pruning, here rebuilt in Fractions from a plain DP.
+
+def _ref_cases(stairs, budget):
+    """(lose, tie, win) from a (length, cost) staircase: the cheapest cost over
+    any length, at most ``budget`` and fewer than ``budget`` edges."""
+    def cheapest(fits):
+        costs = [cost for length, cost in stairs if fits(length)]
+        return min(costs) if costs else None
+    return (stairs[-1][1], cheapest(lambda n: n <= budget), cheapest(lambda n: n < budget))
+
+
+def _ref_successor_lines(graph, q):
+    """Per on-path vertex with a deviation, per successor, its full case lines
+    (intercept, slope) and the ones kept after pruning."""
+    stairs = reference_staircases(graph)
+    budget = q.length
+    for u in q.vertices[:-1]:
+        budget -= 1
+        heads = [e.head for e in graph.edges if e.tail == u]
+        if len(heads) < 2:
+            continue
+        for w in heads:
+            lines = [(cost, slope) for cost, slope in zip(_ref_cases(stairs[w], budget),
+                                                          (F(0), F(-1, 2), F(-1)))
+                     if cost is not None]
+            kept = [line for line, steeper in zip(lines, lines[1:] + [None])
+                    if steeper is None or steeper[0] != line[0]]
+            yield lines, kept
+
+
+def _ref_crossings(lines):
+    return {(a2 - a1) / (s1 - s2) for a1, s1 in lines for a2, s2 in lines if s2 < s1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       bias=st.sampled_from((F(1), F(101, 100), F(3, 2), F(2), F(7, 3), F(5))))
+def test_breakpoints_are_kept_line_crossings_and_endpoints(seed, bias):
+    graph = _fractional_layered_graph(random.Random(seed))
+    for q in enumerate_paths(graph):
+        points = algorithm_breakpoints(graph, q, bias)
+        expected = {F(0)}
+        expected.update(p for piece in reference_feasible_rewards(graph, q, bias).intervals
+                        for p in (piece.lo, piece.hi) if p is not None)
+        successors = list(_ref_successor_lines(graph, q))
+        for _, kept in successors:
+            expected |= _ref_crossings(kept)
+        assert points == tuple(sorted(expected)), q.vertices
+        for lines, _ in successors:
+            def envelope(r):
+                return min(a + s * r for a, s in lines)
+            # past every crossing of the full lines the envelope is one line
+            far = max(_ref_crossings(lines) | {points[-1]}) + 1
+            for lo, hi in zip(points, points[1:] + (far,)):
+                assert envelope((lo + hi) / 2) == (envelope(lo) + envelope(hi)) / 2, (lo, hi)
