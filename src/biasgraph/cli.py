@@ -38,7 +38,7 @@ SUITES = ("alg1", "prop1", "thm1", "thm2", "bne")
 MAX_COMPETITORS = 100
 MAX_SWEEP_STEPS = 100
 # Suite sizes grow linearly with --scale; at this bound the slowest suite,
-# alg1, runs for 46-47 s on a 2-core Xeon.  verify.run_suite itself takes
+# alg1, runs for 21-24 s on a 2-core Xeon.  verify.run_suite itself takes
 # any scale.
 MAX_VERIFY_SCALE = 100
 # A fan has n + 2 vertices and its exit costs grow like c**n, so a fan past
@@ -77,6 +77,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _float(option: str, value: Fraction) -> float:
+    """A rational option as a float, refused if it overflows or a nonzero value rounds to 0."""
+    try:
+        result = float(value)
+    except OverflowError:
+        raise ValueError(f"{option} overflows a float") from None
+    if value and not result:
+        raise ValueError(f"{option} is nonzero but rounds to 0 as a float")
+    return result
+
+
 def _at_most(option: str, value: int, bound: int) -> None:
     if value > bound:
         raise ValueError(f"{option} is {value}, above its bound {bound}")
@@ -95,16 +106,16 @@ def _bne_spec(args) -> FanSpec:
 
 
 def _dist_from_args(args) -> BiasDistribution:
-    lower = float(args.c)
+    lower = _float("--c", args.c)
     if args.dist == "equal-revenue":
         return BiasDistribution.equal_revenue(lower)
     if args.dist == "uniform":
         if args.d is None:
             raise ValueError("uniform distribution needs --d")
-        return BiasDistribution.uniform(lower, float(args.d))
+        return BiasDistribution.uniform(lower, _float("--d", args.d))
     if args.rate is None:
         raise ValueError("exponential distribution needs --rate")
-    return BiasDistribution.shifted_exponential(lower, float(args.rate))
+    return BiasDistribution.shifted_exponential(lower, _float("--rate", args.rate))
 
 
 def _emit_solution(solution: FanBneSolution) -> int:
@@ -301,9 +312,9 @@ def _cmd_bne_fan_multi(args) -> int:
     _at_most("--m", args.m, MAX_COMPETITORS)
     dist = _dist_from_args(args)
     if args.r is not None:
-        reward = float(args.r)
+        reward = _float("--r", args.r)
     else:
-        reward = (args.m + 1) * float(args.per_agent_s)
+        reward = (args.m + 1) * _float("--per-agent-s", args.per_agent_s)
         if not math.isfinite(reward):
             raise ValueError("(--m + 1) * --per-agent-s overflows a float")
     return _emit_solution(solve_fan_bne_multi(spec, dist, reward, args.m))
@@ -312,7 +323,7 @@ def _cmd_bne_fan_multi(args) -> int:
 def _cmd_bne_sweep(args) -> int:
     spec = _bne_spec(args)
     dist = _dist_from_args(args)
-    lo, hi = float(args.r_min), float(args.r_max)
+    lo, hi = _float("--r-min", args.r_min), _float("--r-max", args.r_max)
     if args.steps < 2 or hi < lo:
         raise ValueError("need r-max >= r-min and at least two steps")
     _at_most("--steps", args.steps, MAX_SWEEP_STEPS)

@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles (path enumeration,
 literal minimization over continuations), not from the hop tables, perceived
 costs or reward sweeps, so agreement between the two routes is meaningful
-evidence of correctness.  Beside the graph and path types it imports
-``RewardTie`` and ``TraversalState`` from ``agents`` and ``BiasDistribution``,
+evidence of correctness; :func:`reward_probes` picks where to compare from the
+oracle's own lines.  Beside the graph and path types it imports ``RewardTie``
+and ``TraversalState`` from ``agents`` and ``BiasDistribution``,
 ``FanOpponentProfile`` and ``fan_agent_exit`` from ``bne``: to check the cutoff
 fixed-point solver, which is separate code, :func:`fan_exit_frequencies` applies
 the closed-form fan agent.  Enumeration is guarded by a vertex-count limit.
@@ -78,6 +79,22 @@ def _continuation_minima(graph: TaskGraph) -> dict[str, tuple[tuple[int, Fractio
     return table
 
 
+def _lines(graph: TaskGraph, state: TraversalState, successor: str, bias: Fraction,
+           opponent_length: int | None):
+    """(a, w) per enumerated continuation through ``successor``: at reward r the
+    agent perceives it as costing a - w * r.  The weight w is 1 when the agent
+    finishes before the opponent, 1/2 on a tie (split ties, the rule
+    ``feasible_rewards`` assumes) and 0 after it or with no opponent.
+    """
+    biased_edge = Fraction(bias) * graph.edge_cost(state.vertex, successor)
+    for length, cost in _continuation_minima(graph)[successor]:
+        total = state.steps_taken + 1 + length
+        if opponent_length is None or total > opponent_length:
+            yield biased_edge + cost, 0
+        else:
+            yield biased_edge + cost, Fraction(1, 2) if total == opponent_length else 1
+
+
 def brute_perceived_min(
     graph: TaskGraph,
     state: TraversalState,
@@ -86,28 +103,9 @@ def brute_perceived_min(
     opponent_length: int | None,
     reward: Fraction,
 ) -> Fraction:
-    """Perceived cost evaluated literally over every enumerated continuation.
-
-    A tie pays ``reward / 2``: split ties, the rule ``feasible_rewards`` assumes.
-    """
-    bias, reward = Fraction(bias), Fraction(reward)
-    biased_edge = bias * graph.edge_cost(state.vertex, successor)
-    best: Fraction | None = None
-    for length, cost in _continuation_minima(graph)[successor]:
-        if opponent_length is None:
-            net = cost
-        else:
-            total = state.steps_taken + 1 + length
-            if total < opponent_length:
-                net = cost - reward
-            elif total == opponent_length:
-                net = cost - reward / 2
-            else:
-                net = cost
-        if best is None or net < best:
-            best = net
-    assert best is not None
-    return biased_edge + best
+    """Perceived cost evaluated literally over every enumerated continuation."""
+    reward = Fraction(reward)
+    return min(a - w * reward for a, w in _lines(graph, state, successor, bias, opponent_length))
 
 
 def brute_traverse(
@@ -153,24 +151,25 @@ def reward_sweep_ne(
     return feasible
 
 
-def sweep_candidates(breakpoints, extra_random: int = 0, rng=None) -> list[Fraction]:
-    """Breakpoints, their midpoints, small perturbations, and random fillers."""
-    eps = Fraction(1, 10**6)
-    points = sorted(set(Fraction(b) for b in breakpoints) | {Fraction(0)})
-    out = set(points)
-    for a, b in zip(points, points[1:]):
-        out.add((a + b) / 2)
-    for p in points:
-        out.add(p + eps)
-        if p - eps >= 0:
-            out.add(p - eps)
-    out.add(points[-1] + 1)
-    out.add(points[-1] + Fraction(7, 2))
-    if extra_random and rng is not None:
-        span = int(points[-1]) + 10
-        for _ in range(extra_random):
-            out.add(Fraction(rng.randrange(span * 8 + 1), 8))
-    return sorted(out)
+def reward_probes(graph: TaskGraph, q: PathRecord, bias: Fraction, extra=()) -> list[Fraction]:
+    """0, ``extra`` and every positive reward at which two lines of :func:`_lines`
+    cross at an on-path vertex q[j] (step j, an opponent of q's length), sorted;
+    then the midpoints of consecutive points, then one point past the last.
+
+    Between consecutive crossings the order of all lines is fixed, and so is
+    every choice :func:`brute_traverse` makes along q.  So a reward set that is
+    constant between its own endpoints, given as ``extra``, and agrees with
+    :func:`reward_sweep_ne` at every probe agrees with it on all of [0, inf).
+    """
+    points = {Fraction(0)} | {Fraction(x) for x in extra}
+    for j, u in enumerate(q.vertices[:-1]):
+        state = TraversalState(u, j)
+        lines = [line for head, _ in graph.successors(u)
+                 for line in _lines(graph, state, head, bias, q.length)]
+        points.update((a1 - a2) / (w1 - w2)
+                      for (a1, w1), (a2, w2) in itertools.combinations(lines, 2) if w1 != w2)
+    points = sorted(p for p in points if p >= 0)
+    return points + [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[-1] + 1]
 
 
 def best_response_table(

@@ -15,7 +15,6 @@ from . import bne, oracle
 from .agents import RewardTie
 from .bne import BiasDistribution
 from .equilibria import (
-    algorithm_breakpoints,
     check_symmetric_ne,
     classify_unbiased,
     dominant_path_reward,
@@ -33,7 +32,8 @@ def _dump(graph: TaskGraph, **params) -> dict:
 
 
 def suite_alg1(seed: int, scale: float = 1.0) -> dict:
-    """Feasible-reward sets must match the brute-force reward sweep pointwise."""
+    """Feasible-reward sets must match the brute-force reward sweep at every
+    ``oracle.reward_probes`` point, and so on all of [0, inf)."""
     rng = random.Random(seed)
     n_graphs = max(1, int(40 * scale))
     cases = 0
@@ -44,10 +44,10 @@ def suite_alg1(seed: int, scale: float = 1.0) -> dict:
         for q in paths:
             for bias in (Fraction(2), Fraction(10)):
                 feasible = feasible_rewards(graph, q, bias)
-                points = algorithm_breakpoints(graph, q, bias)
-                candidates = oracle.sweep_candidates(points, extra_random=5, rng=rng)
-                swept = oracle.reward_sweep_ne(graph, q, bias, candidates)
-                for r in candidates:
+                ends = [p for i in feasible.intervals for p in (i.lo, i.hi) if p is not None]
+                probes = oracle.reward_probes(graph, q, bias, ends)
+                swept = oracle.reward_sweep_ne(graph, q, bias, probes)
+                for r in probes:
                     cases += 1
                     if feasible.contains(r) != (r in swept):
                         failures.append(_dump(

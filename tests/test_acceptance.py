@@ -13,7 +13,6 @@ from biasgraph import (
     FanSpec,
     PathRecord,
     RewardTie,
-    algorithm_breakpoints,
     check_symmetric_ne,
     classify_unbiased,
     closed_form_p,
@@ -35,8 +34,8 @@ from biasgraph.oracle import (
     random_dominant_graph,
     random_ladder_graph,
     random_layered_graph,
+    reward_probes,
     reward_sweep_ne,
-    sweep_candidates,
 )
 
 from conftest import binomial_inverse_share
@@ -122,10 +121,10 @@ def test_criterion_4_feasible_set_matches_sweep_oracle():
             for q in enumerate_paths(graph):
                 for bias in (F(2), F(10)):
                     feasible = feasible_rewards(graph, q, bias)
-                    points = algorithm_breakpoints(graph, q, bias)
-                    candidates = sweep_candidates(points, extra_random=10, rng=rng)
-                    swept = reward_sweep_ne(graph, q, bias, candidates)
-                    for r in candidates:
+                    ends = [p for i in feasible.intervals for p in (i.lo, i.hi) if p is not None]
+                    probes = reward_probes(graph, q, bias, ends)
+                    swept = reward_sweep_ne(graph, q, bias, probes)
+                    for r in probes:
                         cases += 1
                         if feasible.contains(r) != (r in swept):
                             mismatches += 1

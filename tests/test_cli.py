@@ -362,6 +362,41 @@ def test_bne_overflow_exits_2(capsys, argv):
 
 _ER_FAN = ["--n", "5", "--c", "2", "--dist", "equal-revenue"]
 _ONE_FAN = "the cutoff equilibrium needs a fan with n >= 2, not n = 1"
+_FAN_5_2 = ["--n", "5", "--c", "2"]
+_UNIFORM_FAN = [*_FAN_5_2, "--dist", "uniform", "--d", "3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bne-fan", *_UNIFORM_FAN, "--r", "1e400"], "--r overflows a float"),
+    (["bne-fan", *_UNIFORM_FAN, "--r=-1e400"], "--r overflows a float"),
+    (["bne-fan", *_FAN_5_2, "--dist", "uniform", "--d", "1e400", "--r", "1"],
+     "--d overflows a float"),
+    (["bne-fan", *_FAN_5_2, "--dist", "exponential", "--rate", "1e400", "--r", "1"],
+     "--rate overflows a float"),
+    (["bne-fan-multi", *_UNIFORM_FAN, "--m", "2", "--per-agent-s", "1e400"],
+     "--per-agent-s overflows a float"),
+    (["bne-sweep", *_ER_FAN, "--r-min", "0", "--r-max", "1e400", "--steps", "2"],
+     "--r-max overflows a float"),
+    (["bne-fan", *_FAN_5_2, "--dist", "exponential", "--rate", "1e-400", "--r", "1"],
+     "--rate is nonzero but rounds to 0 as a float"),
+    (["bne-fan", *_UNIFORM_FAN, "--r", "1e-400"], "--r is nonzero but rounds to 0 as a float"),
+    (["bne-sweep", *_ER_FAN, "--r-min", "1e-400", "--r-max", "1", "--steps", "2"],
+     "--r-min is nonzero but rounds to 0 as a float"),
+])
+def test_an_option_past_the_float_range_is_named(capsys, argv, message):
+    # one float boundary: a rational option that overflows a float, or that is
+    # nonzero and rounds to 0, is refused naming the option, before any solve
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_the_smallest_subnormal_reward_still_runs(capsys):
+    code, out = invoke(capsys, "bne-fan", *_UNIFORM_FAN, "--r", "5e-324")
+    assert code == 3
+    assert json.loads(out)["found"] is False
 
 
 @pytest.mark.parametrize("argv", [
@@ -705,7 +740,8 @@ def test_each_command_binds_its_handler(command):
     assert args.handler is getattr(cli, "_cmd_" + name.replace("-", "_"))
 
 _FRAGMENTS = ["0", "-1", "1e3", "1e308", "nan", "inf", "-inf", "1/0", "P0", "P9", "s,t",
-              "s,x,t", "FAN", "FIG1", "MISSING", "101", "1001", _C_LONGEST, _C_TOO_LONG]
+              "s,x,t", "FAN", "FIG1", "MISSING", "101", "1001", "1e400", "1e-400", _C_LONGEST,
+              _C_TOO_LONG]
 # Plausible values per option; the work-bounded options take only cheap or
 # out-of-bound values, so that no example runs long.
 _NUMBERS = ["1", "2", "3", "1/2", "3/2", "5/2", "0.05"]

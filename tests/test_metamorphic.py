@@ -22,7 +22,6 @@ import pytest
 
 from biasgraph import (AgentConfig, Interval, PathRecord, RewardTie, algorithm_breakpoints,
                        check_symmetric_ne, feasible_rewards, traverse, validate)
-from biasgraph.oracle import sweep_candidates
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAMBDA = Fraction(1000003, 999983)
@@ -107,6 +106,33 @@ def test_feasible_reward_endpoints_scale(pair, bias):
         expected = [Interval(i.lo * LAMBDA, None if i.hi is None else i.hi * LAMBDA)
                     for i in feasible_rewards(graph, q, bias).intervals]
         assert list(feasible_rewards(scaled, _on(scaled, q), bias).intervals) == expected
+
+
+def sweep_candidates(breakpoints) -> list[Fraction]:
+    """0 and the breakpoints, their midpoints, points 10**-6 to either side and two
+    points past the last.  No oracle reaches these graphs, so the analytic
+    breakpoints choose the probes here."""
+    eps = Fraction(1, 10**6)
+    points = sorted(set(Fraction(b) for b in breakpoints) | {Fraction(0)})
+    out = set(points)
+    for a, b in zip(points, points[1:]):
+        out.add((a + b) / 2)
+    for p in points:
+        out.add(p + eps)
+        if p - eps >= 0:
+            out.add(p - eps)
+    out.add(points[-1] + 1)
+    out.add(points[-1] + Fraction(7, 2))
+    return sorted(out)
+
+
+def test_candidate_builder_covers_boundaries():
+    candidates = sweep_candidates([Fraction(2), Fraction(5)])
+    eps = Fraction(1, 10**6)
+    for point in (Fraction(0), Fraction(2), Fraction(5), Fraction(2) - eps, Fraction(2) + eps,
+                  Fraction(7, 2), Fraction(6)):
+        assert point in candidates
+    assert all(c >= 0 for c in candidates)
 
 
 @pytest.mark.parametrize("bias", (Fraction(3, 2), Fraction(2), Fraction(5)))

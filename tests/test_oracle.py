@@ -11,9 +11,12 @@ import biasgraph
 from biasgraph import (
     BiasDistribution,
     FanSpec,
+    Interval,
+    IntervalSet,
     PathRecord,
     TooLarge,
     fan_path,
+    feasible_rewards,
     make_fan,
     make_named_instance,
     perceived_cost,
@@ -29,8 +32,8 @@ from biasgraph.oracle import (
     fan_exit_frequencies,
     random_dominant_graph,
     random_layered_graph,
+    reward_probes,
     reward_sweep_ne,
-    sweep_candidates,
 )
 
 from conftest import at, build_graph
@@ -125,12 +128,57 @@ class TestRewardSweep:
         got = reward_sweep_ne(graph, q, F(10), [F(1), F(300)])
         assert got == {F(1)}
 
-    def test_candidate_builder_covers_boundaries(self):
-        candidates = sweep_candidates([F(2), F(5)])
-        eps = F(1, 10**6)
-        for point in (F(0), F(2), F(5), F(2) - eps, F(2) + eps, F(7, 2), F(6)):
-            assert point in candidates
-        assert all(c >= 0 for c in candidates)
+
+
+def _ends(feasible):
+    return [p for i in feasible.intervals for p in (i.lo, i.hi) if p is not None]
+
+
+def _split(probes):
+    """reward_probes' sorted points, and the midpoints after them."""
+    k = len(probes) // 2
+    return probes[:k], probes[k:-1]
+
+
+class TestRewardProbes:
+    def test_the_sweep_is_constant_between_probes(self):
+        # a random reward strictly inside each interval between the crossings,
+        # and one past the last, gets the answer of that interval's probe
+        rng = random.Random(15)
+        for _ in range(25):
+            graph = random_layered_graph(rng)
+            for q in enumerate_paths(graph):
+                for bias in (F(2), F(10)):
+                    probes = reward_probes(graph, q, bias)
+                    points, mids = _split(probes)
+                    assert points == sorted(set(points)) and points[0] == 0
+                    assert probes[-1] == points[-1] + 1
+                    inside = [a + (b - a) * F(rng.randrange(1, 1000), 1000)
+                              for a, b in zip(points, points[1:])]
+                    inside.append(points[-1] + F(rng.randrange(1, 10**6), 7))
+                    swept = reward_sweep_ne(graph, q, bias, probes + inside)
+                    for r, probe in zip(inside, mids + [probes[-1]]):
+                        assert (r in swept) == (probe in swept), (q.vertices, bias, r)
+                    assert set(_ends(feasible_rewards(graph, q, bias))) <= set(points)
+
+    @pytest.mark.parametrize("name", ["fig7a", "fig7b"])
+    def test_probes_hold_every_endpoint(self, name):
+        graph, meta = make_named_instance(name)
+        for key in ("Q", "V", "X"):
+            q = PathRecord.from_vertices(graph, meta[key])
+            points, _ = _split(reward_probes(graph, q, F(10)))
+            assert set(_ends(feasible_rewards(graph, q, F(10)))) <= set(points), key
+
+    def test_a_moved_endpoint_disagrees_at_a_probe(self):
+        # fig7a's Q holds on [0, 196]; [0, 196 + 1/1000] ends between two crossings
+        graph, meta = make_named_instance("fig7a")
+        q = PathRecord.from_vertices(graph, meta["Q"])
+        wrong = IntervalSet((Interval(F(0), F(196) + F(1, 1000)),))
+        points, _ = _split(reward_probes(graph, q, F(10)))
+        assert not any(F(196) < p <= F(196) + F(1, 1000) for p in points)
+        probes = reward_probes(graph, q, F(10), _ends(wrong))
+        swept = reward_sweep_ne(graph, q, F(10), probes)
+        assert any(wrong.contains(r) != (r in swept) for r in probes)
 
 
 class TestGenerators:
