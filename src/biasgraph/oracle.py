@@ -293,12 +293,13 @@ def random_dominant_graph(rng, max_vertices: int = 10) -> TaskGraph:
 
     The base uses at least two interior layers and no skip edges, so every
     other path has length three or more, and edge costs of at least one, so
-    every other path costs at least three.
+    every other path costs at least three.  The chain's cost sits on its first
+    edge, where bias inflates all of it, so a biased agent can leave the chain.
     """
     data = _layered(rng, max_vertices - 1, 2, 3, 0.0, tuple(c for c in COST_GRID if c >= 1))
     data["vertices"].append("w")
-    data["edges"].append({"from": "s", "to": "w", "cost": "1/2"})
-    data["edges"].append({"from": "w", "to": "t", "cost": "1/2"})
+    data["edges"].append({"from": "s", "to": "w", "cost": "11/4"})
+    data["edges"].append({"from": "w", "to": "t", "cost": "0"})
     return validate(data)
 
 

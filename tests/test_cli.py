@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasgraph import cli, instances, make_fan, FanSpec, verify
+from biasgraph import cli, feasible_rewards, instances, make_fan, FanSpec, verify
 from biasgraph.cli import run
 
 
@@ -279,9 +279,19 @@ def test_verify_suite(capsys):
     assert payload["passed"] is True and payload["failures"] == []
 
 
-def test_verify_thm1_draws_a_random_fan_at_small_scale():
-    # 24 fixed probes: six threshold probes on each of the four fans
-    assert verify.run_suite("thm1", seed=0, scale=0.1)["cases"] > 24
+def test_verify_thm1_draws_a_random_fan_at_small_scale(monkeypatch):
+    # one fan at least, and one case per path: n + 1 on an n-fan
+    graphs = []
+
+    def recording(graph, q, bias):
+        graphs.append(graph)
+        return feasible_rewards(graph, q, bias)
+
+    monkeypatch.setattr(verify, "feasible_rewards", recording)
+    report = verify.run_suite("thm1", seed=0, scale=0.1)
+    assert report["passed"] and graphs
+    assert report["cases"] == len(graphs) == len(graphs[0].vertices) - 1
+    assert all(g is graphs[0] for g in graphs)
 
 
 def test_verify_suite_choices_are_the_suites():

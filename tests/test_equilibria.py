@@ -32,6 +32,7 @@ from biasgraph.oracle import (
     random_dominant_graph,
     random_ladder_graph,
     random_layered_graph,
+    reward_probes,
 )
 
 from conftest import build_graph, coprime_graph, reference_staircases, spine_graph, union
@@ -186,6 +187,8 @@ class TestCheckSymmetricNe:
 
 
 class TestFanThresholds:
+    FANS = [(3, F(3, 2), F(2)), (4, F(2), F(3)), (5, F(3, 2), F(2)), (6, F(5, 4), F(3, 2))]
+
     def test_five_fan(self):
         got = fan_ne_thresholds(FanSpec(5, F(3, 2)), F(2))
         assert (got.optimal_min_reward, got.longest_max_reward) == (1, F(81, 16))
@@ -203,19 +206,24 @@ class TestFanThresholds:
             fan_ne_thresholds(FanSpec(3, F(2)), F(3, 2))
 
     def test_thresholds_agree_with_ne_check(self):
-        rng = random.Random(31)
-        for n, c, b in [(3, F(3, 2), F(2)), (4, F(2), F(3)), (5, F(3, 2), F(2)), (6, F(5, 4), F(3, 2))]:
+        # at each crossing of the oracle's lines, between them and past the last
+        for n, c, b in self.FANS:
             spec = FanSpec(n, c)
             graph = make_fan(spec)
             lo = fan_ne_thresholds(spec, b).optimal_min_reward
             hi = fan_ne_thresholds(spec, b).longest_max_reward
-            probes = {lo, hi, lo + F(1, 100), hi + F(1, 100), lo / 2, hi * 2}
-            probes |= {F(rng.randrange(40), 4) for _ in range(6)}
-            for r in probes:
-                assert bool(check_symmetric_ne(graph, fan_path(graph, 0), r, b)) == (r >= lo)
-                assert bool(check_symmetric_ne(graph, fan_path(graph, n), r, b)) == (r <= hi)
-                for i in range(1, n):
-                    assert not check_symmetric_ne(graph, fan_path(graph, i), r, b)
+            for i in range(n + 1):
+                path = fan_path(graph, i)
+                for r in reward_probes(graph, path, b, (lo, hi)):
+                    holds = r >= lo if i == 0 else r <= hi if i == n else False
+                    assert bool(check_symmetric_ne(graph, path, r, b)) == holds
+
+    def test_bias_at_growth_factor_holds_every_path_at_zero(self):
+        # eps = 0: all exits tie at r = 0, so interior paths hold there too
+        for n, c, _ in self.FANS:
+            graph = make_fan(FanSpec(n, c))
+            for i in range(n + 1):
+                assert check_symmetric_ne(graph, fan_path(graph, i), F(0), c)
 
 
 class TestDominantPathReward:

@@ -194,7 +194,7 @@ class TestGenerators:
         for _ in range(20):
             graph = random_dominant_graph(rng)
             assert len(graph.vertices) <= 10
-            assert graph.edge_cost("s", "w") == F(1, 2)
+            assert (graph.edge_cost("s", "w"), graph.edge_cost("w", "t")) == (F(11, 4), 0)
             assert min(p.length for p in enumerate_paths(graph)) == 2
 
     def test_generation_is_deterministic_under_seed(self):

@@ -8,7 +8,7 @@ from biasgraph import equilibria, verify
 
 
 # Seed-0 case counts at scale 3: a change to what a suite sweeps shows here.
-SCALE_3_CASES = {"alg1": 6_006, "prop1": 900, "thm1": 101, "thm2": 450, "bne": 149}
+SCALE_3_CASES = {"alg1": 6_006, "prop1": 900, "thm1": 68, "thm2": 450, "bne": 149}
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
@@ -42,29 +42,78 @@ MUTANTS = {
 }
 
 
+# Planted faults in the closed forms that thm1 and thm2 compare against.
+THM1_MUTANTS = {
+    "lo = eps": ("FanNeThresholds(2 * eps,", "FanNeThresholds(eps,"),
+    "hi uses c^n": ("spec.c ** (spec.n - 1)", "spec.c ** spec.n"),
+    "hi uses c^(n-2)": ("spec.c ** (spec.n - 1)", "spec.c ** (spec.n - 2)"),
+    "lo + 1/100": ("FanNeThresholds(2 * eps,", "FanNeThresholds(2 * eps + Fraction(1, 100),"),
+}
+THM2_MUTANTS = {
+    "bias factor dropped": ("agents * bias * max_edge,", "agents * max_edge,"),
+    "bound quartered": ("agents * bias * max_edge,", "agents * bias * max_edge / 4,"),
+    "min edge for max edge": ("max_edge = Fraction(max(", "max_edge = Fraction(min("),
+}
+
+
 SOURCE = Path(equilibria.__file__).read_text()
 
 
-def _alg1_on(monkeypatch, source: str) -> dict:
-    """alg1 at seed 0, scale 1, with ``feasible_rewards`` from ``source``."""
+def _suite_on(monkeypatch, suite: str, name: str, source: str) -> dict:
+    """``suite`` at seed 0, scale 1, with ``verify.<name>`` taken from ``source``."""
     module = types.ModuleType("biasgraph._planted")
     module.__package__ = "biasgraph"
     monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look it up
     exec(compile(source, module.__name__, "exec"), module.__dict__)
-    monkeypatch.setattr(verify, "feasible_rewards", module.feasible_rewards)
-    return verify.run_suite("alg1", seed=0, scale=1)
+    monkeypatch.setattr(verify, name, getattr(module, name))
+    return verify.run_suite(suite, seed=0, scale=1)
 
 
-def test_alg1_passes_on_an_unplanted_copy(monkeypatch):
-    assert _alg1_on(monkeypatch, SOURCE)["passed"]
+def _planted(mutant: tuple[str, str]) -> str:
+    old, new = mutant
+    assert SOURCE.count(old) == 1
+    return SOURCE.replace(old, new)
+
+
+@pytest.mark.parametrize("suite, name", [("alg1", "feasible_rewards"),
+                                         ("thm1", "fan_ne_thresholds"),
+                                         ("thm2", "dominant_path_reward")])
+def test_suite_passes_on_an_unplanted_copy(monkeypatch, suite, name):
+    assert _suite_on(monkeypatch, suite, name, SOURCE)["passed"]
 
 
 @pytest.mark.parametrize("fault", MUTANTS)
 def test_alg1_catches_planted_fault(monkeypatch, fault):
-    old, new = MUTANTS[fault]
-    assert SOURCE.count(old) == 1
+    source = _planted(MUTANTS[fault])
     try:
-        report = _alg1_on(monkeypatch, SOURCE.replace(old, new))
+        report = _suite_on(monkeypatch, "alg1", "feasible_rewards", source)
     except Exception:  # a kernel that raises is caught too
         return
     assert report["failures"]
+
+
+@pytest.mark.parametrize("fault", THM1_MUTANTS)
+def test_thm1_catches_planted_fault(monkeypatch, fault):
+    source = _planted(THM1_MUTANTS[fault])
+    assert _suite_on(monkeypatch, "thm1", "fan_ne_thresholds", source)["failures"]
+
+
+@pytest.mark.parametrize("fault", THM2_MUTANTS)
+def test_thm2_catches_planted_fault(monkeypatch, fault):
+    source = _planted(THM2_MUTANTS[fault])
+    assert _suite_on(monkeypatch, "thm2", "dominant_path_reward", source)["failures"]
+
+
+def test_thm2_cases_need_a_positive_reward(monkeypatch):
+    # a bound that is never needed cannot be wrong: some cases must need r > 0
+    minima = []
+
+    def recording(graph, q, bias):
+        feasible = equilibria.feasible_rewards(graph, q, bias)
+        minima.append(feasible.min_point())
+        return feasible
+
+    monkeypatch.setattr(verify, "feasible_rewards", recording)
+    assert verify.run_suite("thm2", seed=0, scale=1)["passed"]
+    assert len(minima) == 150
+    assert sum(m > 0 for m in minima) >= 0.05 * len(minima)
