@@ -43,29 +43,33 @@ MUTANTS = {
 
 
 # Planted faults in the closed forms that thm1 and thm2 compare against.
-THM1_MUTANTS = {
-    "lo = eps": ("FanNeThresholds(2 * eps,", "FanNeThresholds(eps,"),
-    "hi uses c^n": ("spec.c ** (spec.n - 1)", "spec.c ** spec.n"),
-    "hi uses c^(n-2)": ("spec.c ** (spec.n - 1)", "spec.c ** (spec.n - 2)"),
-    "lo + 1/100": ("FanNeThresholds(2 * eps,", "FanNeThresholds(2 * eps + Fraction(1, 100),"),
+THEOREM_MUTANTS = {
+    "thm1": {
+        "lo = eps": ("FanNeThresholds(2 * eps,", "FanNeThresholds(eps,"),
+        "hi uses c^n": ("spec.c ** (spec.n - 1)", "spec.c ** spec.n"),
+        "hi uses c^(n-2)": ("spec.c ** (spec.n - 1)", "spec.c ** (spec.n - 2)"),
+        "lo + 1/100": ("FanNeThresholds(2 * eps,", "FanNeThresholds(2 * eps + Fraction(1, 100),"),
+    },
+    "thm2": {
+        "bias factor dropped": ("agents * bias * max_edge,", "agents * max_edge,"),
+        "bound quartered": ("agents * bias * max_edge,", "agents * bias * max_edge / 4,"),
+        "min edge for max edge": ("max_edge = Fraction(max(", "max_edge = Fraction(min("),
+    },
 }
-THM2_MUTANTS = {
-    "bias factor dropped": ("agents * bias * max_edge,", "agents * max_edge,"),
-    "bound quartered": ("agents * bias * max_edge,", "agents * bias * max_edge / 4,"),
-    "min edge for max edge": ("max_edge = Fraction(max(", "max_edge = Fraction(min("),
-}
+# The `equilibria` function each suite checks, which a planted copy replaces.
+CHECKED = {"alg1": "feasible_rewards", "thm1": "fan_ne_thresholds", "thm2": "dominant_path_reward"}
 
 
 SOURCE = Path(equilibria.__file__).read_text()
 
 
-def _suite_on(monkeypatch, suite: str, name: str, source: str) -> dict:
-    """``suite`` at seed 0, scale 1, with ``verify.<name>`` taken from ``source``."""
+def _suite_on(monkeypatch, suite: str, source: str) -> dict:
+    """``suite`` at seed 0, scale 1, with the function it checks taken from ``source``."""
     module = types.ModuleType("biasgraph._planted")
     module.__package__ = "biasgraph"
     monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look it up
     exec(compile(source, module.__name__, "exec"), module.__dict__)
-    monkeypatch.setattr(verify, name, getattr(module, name))
+    monkeypatch.setattr(verify, CHECKED[suite], getattr(module, CHECKED[suite]))
     return verify.run_suite(suite, seed=0, scale=1)
 
 
@@ -75,33 +79,26 @@ def _planted(mutant: tuple[str, str]) -> str:
     return SOURCE.replace(old, new)
 
 
-@pytest.mark.parametrize("suite, name", [("alg1", "feasible_rewards"),
-                                         ("thm1", "fan_ne_thresholds"),
-                                         ("thm2", "dominant_path_reward")])
-def test_suite_passes_on_an_unplanted_copy(monkeypatch, suite, name):
-    assert _suite_on(monkeypatch, suite, name, SOURCE)["passed"]
+@pytest.mark.parametrize("suite", CHECKED)
+def test_suite_passes_on_an_unplanted_copy(monkeypatch, suite):
+    assert _suite_on(monkeypatch, suite, SOURCE)["passed"]
 
 
 @pytest.mark.parametrize("fault", MUTANTS)
 def test_alg1_catches_planted_fault(monkeypatch, fault):
     source = _planted(MUTANTS[fault])
     try:
-        report = _suite_on(monkeypatch, "alg1", "feasible_rewards", source)
+        report = _suite_on(monkeypatch, "alg1", source)
     except Exception:  # a kernel that raises is caught too
         return
     assert report["failures"]
 
 
-@pytest.mark.parametrize("fault", THM1_MUTANTS)
-def test_thm1_catches_planted_fault(monkeypatch, fault):
-    source = _planted(THM1_MUTANTS[fault])
-    assert _suite_on(monkeypatch, "thm1", "fan_ne_thresholds", source)["failures"]
-
-
-@pytest.mark.parametrize("fault", THM2_MUTANTS)
-def test_thm2_catches_planted_fault(monkeypatch, fault):
-    source = _planted(THM2_MUTANTS[fault])
-    assert _suite_on(monkeypatch, "thm2", "dominant_path_reward", source)["failures"]
+@pytest.mark.parametrize("suite, fault", [(suite, fault) for suite, faults in THEOREM_MUTANTS.items()
+                                          for fault in faults])
+def test_theorem_suite_catches_planted_fault(monkeypatch, suite, fault):
+    source = _planted(THEOREM_MUTANTS[suite][fault])
+    assert _suite_on(monkeypatch, suite, source)["failures"]
 
 
 def test_thm2_cases_need_a_positive_reward(monkeypatch):
