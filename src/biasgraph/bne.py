@@ -49,7 +49,7 @@ class BiasDistribution:
 
     @classmethod
     def shifted_exponential(cls, lower: float, rate: float) -> "BiasDistribution":
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError("rate must be positive")
         return cls(DistributionKind.SHIFTED_EXPONENTIAL, float(lower), rate=float(rate))
 
@@ -86,7 +86,7 @@ class FanOpponentProfile:
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.probabilities):
             raise ValueError("probabilities must be nonnegative")
-        if abs(sum(self.probabilities) - 1.0) > _PROFILE_TOL:
+        if not abs(sum(self.probabilities) - 1.0) <= _PROFILE_TOL:
             raise ValueError("probabilities must sum to 1")
 
     @classmethod
@@ -120,7 +120,7 @@ def fan_agent_exit(spec: FanSpec, bias: float, opponent: FanOpponentProfile, rew
     """
     if len(opponent.probabilities) != spec.n + 1:
         raise ValueError("profile size must be n + 1")
-    if reward < 0:
+    if not reward >= 0:
         raise ValueError("reward must be nonnegative")
     c = float(spec.c)
     for i in range(spec.n):
@@ -132,7 +132,7 @@ def fan_agent_exit(spec: FanSpec, bias: float, opponent: FanOpponentProfile, rew
 
 def lambert_w0(x: float) -> float:
     """Principal Lambert W on (-1/e, 0] by Halley iteration."""
-    if x > 0 or x <= -1.0 / math.e:
+    if not -1.0 / math.e < x <= 0:
         raise ValueError("lambert_w0 implemented only on (-1/e, 0]")
     if x == 0.0:
         return 0.0
@@ -223,7 +223,7 @@ def fixed_point_p(dist: BiasDistribution, reward: float, competitors: int = 1) -
     This is the solver core; it needs no fan, only the distribution.  With one
     competitor d(p, 1) = p/2, the two-agent cutoff.
     """
-    if reward < 0:
+    if not reward >= 0:
         raise ValueError("reward must be nonnegative")
     lower = dist.lower
     return _largest_fixed_point(
@@ -264,7 +264,7 @@ def solve_fan_bne_multi(spec: FanSpec, dist: BiasDistribution, reward: float,
     if spec.n < 2:
         raise ValueError(f"the cutoff equilibrium needs a fan with n >= 2, not n = {spec.n}")
     c = float(spec.c)
-    if abs(dist.lower - c) > 1e-12:
+    if not abs(dist.lower - c) <= 1e-12:
         raise ValueError("distribution support must start at the fan growth factor")
     try:
         c_pow_n = c**spec.n
@@ -288,7 +288,7 @@ def solve_fan_bne(spec: FanSpec, dist: BiasDistribution, reward: float) -> FanBn
 
 def closed_form_p(dist: BiasDistribution, reward: float) -> float:
     """Closed-form fixed point for the three stock distributions."""
-    if reward < 0:
+    if not reward >= 0:
         raise ValueError("reward must be nonnegative")
     if dist.kind is DistributionKind.EQUAL_REVENUE:
         return (reward - 2.0) / reward if reward >= 2.0 else 0.0
@@ -323,7 +323,7 @@ def two_path_bne_intervals(
     c, c2, c3 = float(c), float(c2), float(c3)
     if not (1.0 < c and c * c < c2 and c2 * c2 < c3):
         raise ValueError("need 1 < c, c^2 < c2, c2^2 < c3")
-    if reward < 0:
+    if not reward >= 0:
         raise ValueError("reward must be nonnegative")
     if not 0.0 < prob_optimal < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")

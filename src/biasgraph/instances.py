@@ -47,6 +47,8 @@ def make_fan(spec: FanSpec) -> TaskGraph:
 
 def fan_path(graph: TaskGraph, exit_index: int) -> PathRecord:
     """P_i on a fan graph: the path leaving through (v_i, t); P_0 is (s, t)."""
+    if exit_index < 0:
+        raise ValueError(f"fan exit index must be nonnegative, not {exit_index}")
     # s, v1, .., v_|V| cannot all be vertices, so a longer spine fails at the
     # same missing edge, without first building one name per index.
     spine = [f"v{j}" for j in range(1, min(exit_index, len(graph.vertices)) + 1)]
@@ -55,7 +57,7 @@ def fan_path(graph: TaskGraph, exit_index: int) -> PathRecord:
 
 def resolve_path(graph: TaskGraph, text: str) -> PathRecord:
     """Parse a CLI path argument: comma-separated ids, or fan shorthand P0..Pn."""
-    if len(text) > 1 and text[0] == "P" and text[1:].isdigit():
+    if text[:1] == "P" and text[1:].isascii() and text[1:].isdigit():
         return fan_path(graph, int(text[1:]))
     return PathRecord.from_vertices(graph, [v.strip() for v in text.split(",")])
 

@@ -172,36 +172,44 @@ def reward_probes(graph: TaskGraph, q: PathRecord, bias: Fraction, extra=()) -> 
     return points + [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[-1] + 1]
 
 
-def best_response_table(
-    costs: list[Fraction], lengths: list[int], reward: Fraction, tie_rule: RewardTie
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """Pure Nash equilibria of the two-player game restricted to given paths.
+def brute_unbiased_equilibria(paths: list[PathRecord], reward: Fraction,
+                              tie_rule: RewardTie) -> tuple[tuple, tuple, tuple]:
+    """The unbiased game's ladder and pure Nash equilibria, from enumerated paths.
 
-    Returns (indices with a symmetric equilibrium, asymmetric ordered pairs
-    (i, j), i != j).  Utilities follow first-to-finish with the tie rule.
+    Per length the first cheapest path in ``paths`` is a rung when every quicker
+    path costs more and it costs less than cheapest + reward or is a cheapest
+    path.  Utilities follow first-to-finish with the tie rule, and a rung is a
+    best response when no path in ``paths`` pays more.  Returns (ladder,
+    symmetric rungs, asymmetric (quicker, slower) rung pairs) as vertex tuples
+    in ladder order, quickest first.
     """
     reward = Fraction(reward)
-    n = len(costs)
     tie = {RewardTie.SPLIT: reward / 2, RewardTie.FULL: reward, RewardTie.NONE: Fraction(0)}[tie_rule]
+    # Each stair is its length's first cheapest path (a stable sort), cheaper than any quicker.
+    stairs: list[PathRecord] = []
+    for p in sorted(paths, key=lambda p: (p.length, p.cost)):
+        if not stairs or p.cost < stairs[-1].cost:
+            stairs.append(p)
+    cheapest = stairs[-1].cost
+    ladder = [p for p in stairs if p.cost < cheapest + reward or p.cost == cheapest]
 
-    def payoff(mine: int, theirs: int) -> Fraction:
-        if lengths[mine] < lengths[theirs]:
-            return reward - costs[mine]
-        if lengths[mine] == lengths[theirs]:
-            return tie - costs[mine]
-        return -costs[mine]
+    def payoff(mine: PathRecord, theirs: PathRecord) -> Fraction:
+        if mine.length < theirs.length:
+            return reward - mine.cost
+        if mine.length == theirs.length:
+            return tie - mine.cost
+        return -mine.cost
 
-    def is_best(mine: int, theirs: int) -> bool:
-        value = payoff(mine, theirs)
-        return all(value >= payoff(dev, theirs) for dev in range(n))
+    # Against a rung, the most any path pays; it depends only on the rung's length.
+    top = {q.length: max(payoff(dev, q) for dev in paths) for q in ladder}
 
-    symmetric = [i for i in range(n) if is_best(i, i)]
-    asymmetric = [
-        (i, j)
-        for i, j in itertools.product(range(n), range(n))
-        if i != j and is_best(i, j) and is_best(j, i)
-    ]
-    return symmetric, asymmetric
+    def is_best(mine: PathRecord, theirs: PathRecord) -> bool:
+        return payoff(mine, theirs) == top[theirs.length]
+
+    return (tuple(p.vertices for p in ladder),
+            tuple(p.vertices for p in ladder if is_best(p, p)),
+            tuple((p.vertices, q.vertices) for p, q in itertools.combinations(ladder, 2)
+                  if is_best(p, q) and is_best(q, p)))
 
 
 @dataclass(frozen=True)
@@ -303,19 +311,13 @@ def random_dominant_graph(rng, max_vertices: int = 10) -> TaskGraph:
     return validate(data)
 
 
-def random_ladder_graph(rng, max_rungs: int = 6) -> TaskGraph:
-    """Disjoint source->sink chains with one candidate path per length."""
-    n_chains = rng.randrange(2, max_rungs + 1)
-    lengths = sorted(rng.sample(range(1, 7), n_chains))
-    vertices = ["s", "t"]
-    edges: list[dict] = []
-    for chain_no, length in enumerate(lengths):
-        cost = Fraction(rng.randrange(33), 2)
-        inner = [f"c{chain_no}x{j}" for j in range(length - 1)]
-        vertices.extend(inner)
-        seq = ["s"] + inner + ["t"]
-        split = [Fraction(0)] * length
-        split[rng.randrange(length)] = cost
-        for (u, v), piece in zip(zip(seq, seq[1:]), split):
-            edges.append({"from": u, "to": v, "cost": str(piece)})
-    return validate({"vertices": vertices, "edges": edges, "source": "s", "sink": "t"})
+def random_ladder_graph(rng) -> TaskGraph:
+    """A comb: a free spine s -> v1 -> ... and, for each of 2-6 distinct lengths
+    k drawn from 1..6, an exit from the (k-1)-th spine vertex to t at a cost
+    from 0, 1/2, ..., 16.  One path per drawn length, at most 7 vertices."""
+    lengths = sorted(rng.sample(range(1, 7), rng.randrange(2, 7)))
+    spine = ["s"] + [f"v{i}" for i in range(1, lengths[-1])]
+    edges = [{"from": u, "to": v, "cost": "0"} for u, v in zip(spine, spine[1:])]
+    edges += [{"from": spine[k - 1], "to": "t", "cost": str(Fraction(rng.randrange(33), 2))}
+              for k in lengths]
+    return validate({"vertices": spine + ["t"], "edges": edges, "source": "s", "sink": "t"})

@@ -32,6 +32,10 @@ def _dump(graph: TaskGraph, **params) -> dict:
     return {"graph": graph.to_json_dict(), **params}
 
 
+def _vertices(paths) -> tuple:
+    return tuple(p.vertices for p in paths)
+
+
 def suite_alg1(seed: int, scale: float = 1.0) -> dict:
     """Feasible-reward sets must match the brute-force reward sweep at every
     ``oracle.reward_probes`` point, and so on all of [0, inf)."""
@@ -63,7 +67,9 @@ def suite_alg1(seed: int, scale: float = 1.0) -> dict:
 
 
 def suite_prop1(seed: int, scale: float = 1.0) -> dict:
-    """Ladder classification must agree with the best-response table."""
+    """The ladder classification must equal the oracle's ladder and equilibria,
+    built from enumerated paths; under split ties at most two rungs are
+    symmetric equilibria (Proposition 1)."""
     rng = random.Random(seed)
     n_instances = max(1, int(100 * scale))
     cases = 0
@@ -72,27 +78,16 @@ def suite_prop1(seed: int, scale: float = 1.0) -> dict:
     for _ in range(n_instances):
         graph = oracle.random_ladder_graph(rng)
         reward = rng.choice(rewards)
+        paths = oracle.enumerate_paths(graph)
         for tie_rule in RewardTie:
             cases += 1
             report = classify_unbiased(graph, reward, tie_rule)
-            paths = report.ladder.paths
-            costs = [p.cost for p in paths]
-            lengths = [p.length for p in paths]
-            sym, asym = oracle.best_response_table(costs, lengths, reward, tie_rule)
-            got_sym = [paths.index(p) for p in report.symmetric]
-            ok = sorted(got_sym) == sorted(sym)
-            if report.asymmetric is None:
-                ok = ok and not asym
-            else:
-                i, j = paths.index(report.asymmetric[0]), paths.index(report.asymmetric[1])
-                ok = ok and sorted(asym) == sorted({(i, j), (j, i)})
-            if tie_rule is RewardTie.SPLIT and len(sym) > 2:
-                ok = False
-            if not ok:
-                failures.append(_dump(
-                    graph, reward=str(reward), tie=tie_rule.value,
-                    classified=got_sym, brute=sym, brute_asym=asym,
-                ))
+            classified = (_vertices(report.ladder.paths), _vertices(report.symmetric),
+                          (_vertices(report.asymmetric),) if report.asymmetric else ())
+            brute = oracle.brute_unbiased_equilibria(paths, reward, tie_rule)
+            if classified != brute or (tie_rule is RewardTie.SPLIT and len(brute[1]) > 2):
+                failures.append(_dump(graph, reward=str(reward), tie=tie_rule.value,
+                                      classified=classified, brute=brute))
     return {"cases": cases, "failures": failures}
 
 

@@ -29,7 +29,8 @@ from biasgraph import (
     traverse,
 )
 from biasgraph.oracle import (
-    best_response_table,
+    brute_unbiased_equilibria,
+    enumerate_paths,
     fan_exit_frequencies,
     random_dominant_graph,
     random_ladder_graph,
@@ -116,8 +117,6 @@ def test_criterion_4_feasible_set_matches_sweep_oracle():
         for _ in range(300):
             graph = random_layered_graph(rng)
             assert len(graph.vertices) <= 8
-            from biasgraph.oracle import enumerate_paths
-
             for q in enumerate_paths(graph):
                 for bias in (F(2), F(10)):
                     feasible = feasible_rewards(graph, q, bias)
@@ -232,23 +231,17 @@ def test_criterion_9_two_path_rule_always_leaks():
 
 
 def test_criterion_10_unbiased_classification_vs_brute_force():
-    with criterion(10, "ladder classification equals the best-response table", 10.0):
+    with criterion(10, "ladder classification equals the brute-force game", 10.0):
         rng = random.Random(1010)
         rewards = [F(x) for x in ("0", "1/2", "1", "2", "4", "8", "16")]
         for _ in range(200):
             graph = random_ladder_graph(rng)
             reward = rng.choice(rewards)
             report = classify_unbiased(graph, reward, RewardTie.SPLIT)
-            paths = report.ladder.paths
-            assert len(paths) <= 6
-            sym, asym = best_response_table(
-                [p.cost for p in paths], [p.length for p in paths], reward, RewardTie.SPLIT
-            )
-            assert sorted(paths.index(p) for p in report.symmetric) == sorted(sym)
-            assert len(report.symmetric) <= 2
-            if report.asymmetric is None:
-                assert not asym
-            else:
-                i = paths.index(report.asymmetric[0])
-                j = paths.index(report.asymmetric[1])
-                assert sorted(asym) == sorted({(i, j), (j, i)})
+            ladder, sym, asym = brute_unbiased_equilibria(
+                enumerate_paths(graph), reward, RewardTie.SPLIT)
+            assert ladder == tuple(p.vertices for p in report.ladder.paths)
+            assert sym == tuple(p.vertices for p in report.symmetric)
+            assert len(sym) <= 2
+            pairs = (report.asymmetric,) if report.asymmetric else ()
+            assert asym == tuple((a.vertices, b.vertices) for a, b in pairs)

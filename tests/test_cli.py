@@ -546,6 +546,15 @@ def test_fan_shorthand_past_the_graph_fails_at_once(capsys, tmp_path):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("path", ["P²", "P٣"])
+def test_fan_shorthand_takes_ascii_digits_only(capsys, tmp_path, path):
+    # other Unicode digits make a vertex list, which gets the usual path error
+    fan = write_fan(tmp_path, n=4, c="2")
+    code = run(["ne-check", "--graph", fan, "--path", path, "--bias", "3", "--reward", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: a path needs at least one edge\n"
+
+
 def test_bne_competitor_bound_is_inclusive(capsys):
     code, out = invoke(capsys, "bne-fan-multi", *_ER_FAN, "--m", "100", "--r", "8")
     assert code == 0
@@ -749,7 +758,7 @@ def test_each_command_binds_its_handler(command):
     name = {"bne-fan": "bne-fan-multi"}.get(command[0], command[0])  # bne-fan is it at m = 1
     assert args.handler is getattr(cli, "_cmd_" + name.replace("-", "_"))
 
-_FRAGMENTS = ["0", "-1", "1e3", "1e308", "nan", "inf", "-inf", "1/0", "P0", "P9", "s,t",
+_FRAGMENTS = ["0", "-1", "1e3", "1e308", "nan", "inf", "-inf", "1/0", "P0", "P9", "P²", "s,t",
               "s,x,t", "FAN", "FIG1", "MISSING", "101", "1001", "1e400", "1e-400", _C_LONGEST,
               _C_TOO_LONG]
 # Plausible values per option; the work-bounded options take only cheap or

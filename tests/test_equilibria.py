@@ -27,7 +27,7 @@ from biasgraph import (
     nondominated_ladder,
 )
 from biasgraph.oracle import (
-    best_response_table,
+    brute_unbiased_equilibria,
     enumerate_paths,
     random_dominant_graph,
     random_ladder_graph,
@@ -134,24 +134,20 @@ class TestClassifyUnbiased:
         report = classify_unbiased(g, F(5))
         assert report.asymmetric is None
 
-    def test_matches_best_response_table(self):
+    def test_matches_brute_unbiased_equilibria(self):
         rng = random.Random(19)
         for _ in range(80):
             graph = random_ladder_graph(rng)
             reward = F(rng.randrange(25), 2)
+            paths = enumerate_paths(graph)
             for tie_rule in RewardTie:
                 report = classify_unbiased(graph, reward, tie_rule)
-                paths = report.ladder.paths
-                sym, asym = best_response_table(
-                    [p.cost for p in paths], [p.length for p in paths], reward, tie_rule
+                pairs = (report.asymmetric,) if report.asymmetric else ()
+                assert brute_unbiased_equilibria(paths, reward, tie_rule) == (
+                    tuple(p.vertices for p in report.ladder.paths),
+                    tuple(p.vertices for p in report.symmetric),
+                    tuple((a.vertices, b.vertices) for a, b in pairs),
                 )
-                assert sorted(paths.index(p) for p in report.symmetric) == sorted(sym)
-                if report.asymmetric is None:
-                    assert not asym
-                else:
-                    i = paths.index(report.asymmetric[0])
-                    j = paths.index(report.asymmetric[1])
-                    assert sorted(asym) == sorted({(i, j), (j, i)})
 
 
 class TestCheckSymmetricNe:

@@ -11,6 +11,7 @@ F = Fraction
 FAN3 = bg.FanSpec(3, F(2))
 ER2 = bg.BiasDistribution.equal_revenue(2.0)
 FIG1 = bg.make_named_instance("fig1")[0]
+NAN = float("nan")
 
 CHECKS = {
     "uniform-empty-support": (
@@ -55,6 +56,33 @@ CHECKS = {
         lambda: bg.make_named_instance("modified_3fan"), ValueError,
         "needs parameters c, c2, c3"),
     "unknown-suite": (lambda: verify.run_suite("alg9"), ValueError, "unknown suite 'alg9'"),
+    # NaN fails every range check: each check is written as "not (in range)"
+    "exponential-nan-rate": (
+        lambda: bg.BiasDistribution.shifted_exponential(2.0, NAN), ValueError,
+        "rate must be positive"),
+    "profile-nan-probability": (
+        lambda: bg.FanOpponentProfile((NAN, 1.0)), ValueError, "must sum to 1"),
+    "fan-exit-nan-reward": (
+        lambda: bg.fan_agent_exit(FAN3, 3.0, bg.FanOpponentProfile((1.0, 0.0, 0.0, 0.0)), NAN),
+        ValueError, "reward must be nonnegative"),
+    "fixed-point-nan-reward": (
+        lambda: bg.fixed_point_p(ER2, NAN), ValueError, "reward must be nonnegative"),
+    "solver-nan-reward": (
+        lambda: bg.solve_fan_bne(FAN3, ER2, NAN), ValueError, "reward must be nonnegative"),
+    "multi-solver-nan-reward": (
+        lambda: bg.solve_fan_bne_multi(FAN3, ER2, NAN, 2), ValueError,
+        "reward must be nonnegative"),
+    "multi-solver-nan-support": (
+        lambda: bg.solve_fan_bne_multi(FAN3, bg.BiasDistribution.equal_revenue(NAN), 4.0, 1),
+        ValueError, "support must start at the fan growth factor"),
+    "closed-form-nan-reward": (
+        lambda: bg.closed_form_p(ER2, NAN), ValueError, "reward must be nonnegative"),
+    "two-path-nan-reward": (
+        lambda: bg.two_path_bne_intervals(2, 5, 26, NAN, 0.5), ValueError,
+        "reward must be nonnegative"),
+    "lambert-nan": (lambda: bg.lambert_w0(NAN), ValueError, "implemented only on"),
+    "fan-path-negative-index": (
+        lambda: bg.fan_path(bg.make_fan(FAN3), -2), ValueError, "must be nonnegative, not -2"),
 }
 
 

@@ -31,6 +31,7 @@ from biasgraph.oracle import (
     enumerate_paths,
     fan_exit_frequencies,
     random_dominant_graph,
+    random_ladder_graph,
     random_layered_graph,
     reward_probes,
     reward_sweep_ne,
@@ -196,6 +197,17 @@ class TestGenerators:
             assert len(graph.vertices) <= 10
             assert (graph.edge_cost("s", "w"), graph.edge_cost("w", "t")) == (F(11, 4), 0)
             assert min(p.length for p in enumerate_paths(graph)) == 2
+
+    def test_ladder_graphs_are_combs_inside_the_guard(self):
+        for seed in range(5):
+            rng = random.Random(seed)
+            for _ in range(40):
+                graph = random_ladder_graph(rng)
+                assert len(graph.vertices) <= 7
+                lengths = [p.length for p in enumerate_paths(graph)]  # no TooLarge
+                exits = [u for u in graph.vertices if "t" in dict(graph.arcs.get(u, ()))]
+                assert 2 <= len(lengths) == len(set(lengths)) == len(exits) <= 6
+                assert set(lengths) <= set(range(1, 7))
 
     def test_generation_is_deterministic_under_seed(self):
         a = random_layered_graph(random.Random(7)).to_json()

@@ -42,7 +42,8 @@ MUTANTS = {
 }
 
 
-# Planted faults in the closed forms that thm1 and thm2 compare against.
+# Planted faults in the closed forms that thm1 and thm2 compare against, and in
+# the ladder classification that prop1 compares with the oracle.
 THEOREM_MUTANTS = {
     "thm1": {
         "lo = eps": ("FanNeThresholds(2 * eps,", "FanNeThresholds(eps,"),
@@ -55,9 +56,21 @@ THEOREM_MUTANTS = {
         "bound quartered": ("agents * bias * max_edge,", "agents * bias * max_edge / 4,"),
         "min edge for max edge": ("max_edge = Fraction(max(", "max_edge = Fraction(min("),
     },
+    # classify_unbiased calls the planted nondominated_ladder, so both are checked
+    "prop1": {
+        "cheapest rung dropped": ("NondominatedLadder(paths, reward)",
+                                  "NondominatedLadder(paths[:-1] or paths, reward)"),
+        "quickest rung dropped": ("NondominatedLadder(paths, reward)",
+                                  "NondominatedLadder(paths[1:] or paths, reward)"),
+        "reward filter admits a tie": ("cost - cheapest < reward", "cost - cheapest <= reward"),
+        "gain test strict": ("c[i - 1] - c[i] >= gain", "c[i - 1] - c[i] > gain"),
+        "tie test strict": ("c[i] - c[-1] <= tie", "c[i] - c[-1] < tie"),
+        "asymmetric pair at any ladder size": ("if len(paths) == 2 and", "if len(paths) >= 2 and"),
+    },
 }
 # The `equilibria` function each suite checks, which a planted copy replaces.
-CHECKED = {"alg1": "feasible_rewards", "thm1": "fan_ne_thresholds", "thm2": "dominant_path_reward"}
+CHECKED = {"alg1": "feasible_rewards", "prop1": "classify_unbiased",
+           "thm1": "fan_ne_thresholds", "thm2": "dominant_path_reward"}
 
 
 SOURCE = Path(equilibria.__file__).read_text()
