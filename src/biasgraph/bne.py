@@ -51,10 +51,14 @@ class BiasDistribution:
     def shifted_exponential(cls, lower: float, rate: float) -> "BiasDistribution":
         if not rate > 0:
             raise ValueError("rate must be positive")
+        if not math.isfinite(lower):
+            raise ValueError("lower bound must be finite")
         return cls(DistributionKind.SHIFTED_EXPONENTIAL, float(lower), rate=float(rate))
 
     @classmethod
     def equal_revenue(cls, lower: float) -> "BiasDistribution":
+        if not math.isfinite(lower):
+            raise ValueError("lower bound must be finite")
         return cls(DistributionKind.EQUAL_REVENUE, float(lower))
 
     def cdf(self, z: float) -> float:
@@ -122,6 +126,8 @@ def fan_agent_exit(spec: FanSpec, bias: float, opponent: FanOpponentProfile, rew
         raise ValueError("profile size must be n + 1")
     if not reward >= 0:
         raise ValueError("reward must be nonnegative")
+    if not bias >= 1:
+        raise ValueError("bias must be at least 1")
     c = float(spec.c)
     for i in range(spec.n):
         nearby = opponent.probabilities[i] + opponent.probabilities[i + 1]

@@ -10,6 +10,11 @@ and ``TraversalState`` from ``agents`` and ``BiasDistribution``,
 fixed-point solver, which is separate code, :func:`fan_exit_frequencies` applies
 the closed-form fan agent.  Enumeration is guarded by a vertex-count limit.
 Random draws come from a ``random.Random`` the caller seeds.
+
+One slot holds what the oracle derives for the last graph asked about: each
+vertex's cheapest continuation cost per length, and the ``(a, w)`` lines of
+:func:`_lines` per (vertex, step, successor, bias, opponent length), each built
+on first use.  The next graph takes the slot, so one graph's tables are held.
 """
 
 from __future__ import annotations
@@ -55,9 +60,10 @@ def enumerate_paths(graph: TaskGraph, start: str | None = None) -> list[PathReco
     return paths
 
 
-# The last graph asked about and its minima: the suites ask about one graph at
-# a time.  Compared by identity: hashing a TaskGraph hashes every vertex and edge.
-_last: tuple[TaskGraph | None, dict] = (None, {})
+# The slot: (last graph asked about, its continuation minima, its line table).
+# The suites ask about one graph at a time.  Compared by identity: hashing a
+# TaskGraph hashes every vertex and edge.
+_last: tuple[TaskGraph | None, dict, dict] = (None, {}, {})
 
 
 def _continuation_minima(graph: TaskGraph) -> dict[str, tuple[tuple[int, Fraction], ...]]:
@@ -75,24 +81,33 @@ def _continuation_minima(graph: TaskGraph) -> dict[str, tuple[tuple[int, Fractio
             if p.length not in best or p.cost < best[p.length]:
                 best[p.length] = p.cost
         table[v] = tuple(sorted(best.items()))
-    _last = (graph, table)
+    _last = (graph, table, {})
     return table
 
 
 def _lines(graph: TaskGraph, state: TraversalState, successor: str, bias: Fraction,
-           opponent_length: int | None):
+           opponent_length: int | None) -> tuple[tuple[Fraction, Fraction | int], ...]:
     """(a, w) per enumerated continuation through ``successor``: at reward r the
     agent perceives it as costing a - w * r.  The weight w is 1 when the agent
     finishes before the opponent, 1/2 on a tie (split ties, the rule
-    ``feasible_rewards`` assumes) and 0 after it or with no opponent.
+    ``feasible_rewards`` assumes) and 0 after it or with no opponent.  Derived
+    once per graph and key, then read from the slot's line table.
     """
-    biased_edge = Fraction(bias) * graph.edge_cost(state.vertex, successor)
-    for length, cost in _continuation_minima(graph)[successor]:
-        total = state.steps_taken + 1 + length
-        if opponent_length is None or total > opponent_length:
-            yield biased_edge + cost, 0
-        else:
-            yield biased_edge + cost, Fraction(1, 2) if total == opponent_length else 1
+    minima = _continuation_minima(graph)[successor]
+    table = _last[2]
+    key = (state.vertex, state.steps_taken, successor, bias, opponent_length)
+    lines = table.get(key)
+    if lines is None:
+        biased_edge = Fraction(bias) * graph.edge_cost(state.vertex, successor)
+        lines = []
+        for length, cost in minima:
+            total = state.steps_taken + 1 + length
+            if opponent_length is None or total > opponent_length:
+                lines.append((biased_edge + cost, 0))
+            else:
+                lines.append((biased_edge + cost, Fraction(1, 2) if total == opponent_length else 1))
+        lines = table[key] = tuple(lines)
+    return lines
 
 
 def brute_perceived_min(

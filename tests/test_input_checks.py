@@ -73,7 +73,8 @@ CHECKS = {
         lambda: bg.solve_fan_bne_multi(FAN3, ER2, NAN, 2), ValueError,
         "reward must be nonnegative"),
     "multi-solver-nan-support": (
-        lambda: bg.solve_fan_bne_multi(FAN3, bg.BiasDistribution.equal_revenue(NAN), 4.0, 1),
+        lambda: bg.solve_fan_bne_multi(
+            FAN3, bg.BiasDistribution(bg.DistributionKind.EQUAL_REVENUE, NAN), 4.0, 1),
         ValueError, "support must start at the fan growth factor"),
     "closed-form-nan-reward": (
         lambda: bg.closed_form_p(ER2, NAN), ValueError, "reward must be nonnegative"),
@@ -81,6 +82,17 @@ CHECKS = {
         lambda: bg.two_path_bne_intervals(2, 5, 26, NAN, 0.5), ValueError,
         "reward must be nonnegative"),
     "lambert-nan": (lambda: bg.lambert_w0(NAN), ValueError, "implemented only on"),
+    "equal-revenue-nan-lower": (
+        lambda: bg.BiasDistribution.equal_revenue(NAN), ValueError, "lower bound must be finite"),
+    "equal-revenue-inf-lower": (
+        lambda: bg.BiasDistribution.equal_revenue(float("inf")), ValueError,
+        "lower bound must be finite"),
+    "exponential-nan-lower": (
+        lambda: bg.BiasDistribution.shifted_exponential(NAN, 1.0), ValueError,
+        "lower bound must be finite"),
+    "fan-exit-nan-bias": (
+        lambda: bg.fan_agent_exit(FAN3, NAN, bg.FanOpponentProfile((1.0, 0.0, 0.0, 0.0)), 1.0),
+        ValueError, "bias must be at least 1"),
     "fan-path-negative-index": (
         lambda: bg.fan_path(bg.make_fan(FAN3), -2), ValueError, "must be nonnegative, not -2"),
 }

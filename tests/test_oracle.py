@@ -110,6 +110,34 @@ class TestContinuationMinima:
         assert oracle._continuation_minima(twin) is not minima
         assert oracle._continuation_minima(graph) is not minima  # the twin took the one slot
 
+        head = graph.successors("s")[0][0]
+        lines = oracle._lines(graph, at(graph, "s"), head, F(2), 3)
+        assert oracle._lines(graph, at(graph, "s"), head, F(2), 3) is lines
+        twin_lines = oracle._lines(twin, at(twin, "s"), head, F(2), 3)
+        assert twin_lines == lines and twin_lines is not lines
+        assert oracle._last[0] is twin and len(oracle._last[2]) == 1  # graph's lines went too
+        assert oracle._lines(graph, at(graph, "s"), head, F(2), 3) is not lines
+
+    def test_warm_lines_agree_with_a_cold_twin(self):
+        # one warm slot answers interleaved biases, opponent lengths and rewards,
+        # often at the same (vertex, step, successor); each answer must equal the
+        # one a fresh twin, holding only that query's lines, gives
+        rng = random.Random(31)
+        for _ in range(12):
+            graph = random_layered_graph(rng)
+            paths = enumerate_paths(graph)
+            asked = []
+            for _ in range(80):
+                q = rng.choice(paths)
+                j = rng.randrange(q.length)
+                state = at(graph, *q.vertices[: j + 1])
+                head = rng.choice(graph.successors(state.vertex))[0]
+                args = (state, head, rng.choice((F(3, 2), F(2), F(10))),
+                        rng.choice((None, 1, 2, 3, 4, 5, 6)), F(rng.randrange(41), 4))
+                asked.append((args, brute_perceived_min(graph, *args)))
+            for args, warm in asked:
+                assert brute_perceived_min(validate(graph.to_json_dict()), *args) == warm, args
+
 
 class TestRewardSweep:
     def test_fan_direct_path_candidates(self, fan5):
