@@ -93,6 +93,9 @@ CHECKS = {
     "fan-exit-nan-bias": (
         lambda: bg.fan_agent_exit(FAN3, NAN, bg.FanOpponentProfile((1.0, 0.0, 0.0, 0.0)), 1.0),
         ValueError, "bias must be at least 1"),
+    "fan-exit-bias-below-one": (
+        lambda: bg.fan_agent_exit(FAN3, 0.5, bg.FanOpponentProfile((1.0, 0.0, 0.0, 0.0)), 1.0),
+        ValueError, "bias must be at least 1"),
     "fan-path-negative-index": (
         lambda: bg.fan_path(bg.make_fan(FAN3), -2), ValueError, "must be nonnegative, not -2"),
 }
